@@ -7,9 +7,8 @@ import sys
 
 from .discretize import check_cfl
 from .control import check_tracking_basin
-from .estimate import CovarianceBlowup
-from .harness import RunConfig, apply_overrides, load_config, run_closed_loop
-from .rod import NonFiniteState, make_initial_state
+from .harness import RUN_ABORTS, RunConfig, apply_overrides, load_config, run_closed_loop
+from .rod import make_initial_state
 
 
 def _base_config(args):
@@ -31,7 +30,7 @@ def _cmd_run(args):
     out_dir = args.out or cfg.out_dir
     try:
         result = run_closed_loop(cfg, out_dir=out_dir)
-    except (NonFiniteState, CovarianceBlowup) as exc:
+    except RUN_ABORTS as exc:
         print(f"run aborted: {exc}", file=sys.stderr)
         return 1
     last = result.records[-1] if result.records else None
@@ -69,7 +68,7 @@ def _cmd_sweep(args):
         try:
             run_closed_loop(run_cfg, out_dir=out_dir)
             print(f"sweep_{idx:03d}: ok ({override}) -> {out_dir}")
-        except (NonFiniteState, CovarianceBlowup) as exc:
+        except RUN_ABORTS as exc:
             failures += 1
             print(f"sweep_{idx:03d}: ABORTED ({override}): {exc}", file=sys.stderr)
     return 1 if failures else 0

@@ -27,7 +27,7 @@ from .control import (
 )
 from .discretize import IntegratorConfig, check_cfl, step, step_coupled
 from .estimate import CovarianceBlowup, EstimatorState, NoiseModel, filter_update
-from .geometry import log_so3
+from .geometry import NearPiRotation, log_so3
 from .rod import (
     Grid,
     NonFiniteState,
@@ -44,6 +44,11 @@ from .rod import (
 
 FEEDBACK_MODES = ("true", "estimated")
 SCENARIOS = ("straight_at_rest", "axial_spin")
+
+# a run that stops on one of these writes its partial outputs and a last-good
+# snapshot; the CLI reports it as an aborted run (exit 1), not a config error,
+# although NearPiRotation is a ValueError
+RUN_ABORTS = (NonFiniteState, CovarianceBlowup, NearPiRotation)
 
 
 @dataclass
@@ -355,8 +360,8 @@ def run_closed_loop(cfg, out_dir=None):
     (covariance, gain, innovation rates), then co-advance plant and estimate
     through shared integrator stages with the controller wrench re-evaluated
     at the stage states of the configured feedback source.  On a non-finite
-    state or a covariance blow-up the partial outputs plus a last-good
-    snapshot are written before the error propagates.
+    state, a covariance blow-up or a near-pi rotation error the partial
+    outputs plus a last-good snapshot are written before the error propagates.
     """
     params = cfg.rod_params()
     grid = cfg.grid()
@@ -486,7 +491,7 @@ def run_closed_loop(cfg, out_dir=None):
             t_end = n_steps * cfg.dt
             records.append(compute_metrics(t_end, plant, estimator.estimate, traj, gains, grid))
             snapshots.append(Snapshot(t_end, plant.copy(), estimator.estimate.copy()))
-    except (NonFiniteState, CovarianceBlowup):
+    except RUN_ABORTS:
         # dump the last states that were still finite for post-mortem
         snapshots.append(Snapshot(t, plant.copy(), estimator.estimate.copy()))
         if out_dir is not None:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from softrod import (
     EstimatorState,
@@ -9,10 +10,12 @@ from softrod import (
     RodParams,
     Wrench,
     dynamics_rhs,
+    RodState,
     ekf_step,
     kalman_gain,
     linearize_dynamics,
     make_initial_state,
+    make_swing_trajectory,
     observation_matrix,
     reconstruct_strains,
     riccati_step,
@@ -63,6 +66,39 @@ def directional_difference(state, dxi, wrench, params, grid, h_eta=1e-5):
     return np.concatenate(
         [(r1.p - r0.p).ravel(), deta_slot.ravel(), (r1.v - r0.v).ravel(), (r1.omega - r0.omega).ravel()]
     )
+
+
+def lu_reference_riccati(p, op, noise, dt, measurement_dt):
+    """Riccati refresh with the Cayley congruence applied by two LU solves.
+
+    ``P_pred = (I - h)^-1 (I + h) P (I + h)^T (I - h)^-T`` with ``h = dt A/2``,
+    followed by the same regularized contraction and symmetrization as
+    ``riccati_step`` (no cap).
+    """
+    dim = p.shape[0]
+    m = 3 * op.n_nodes
+    half = (0.5 * dt) * op.dense
+    lu = scipy.linalg.lu_factor(np.eye(dim) - half)
+    plus = np.eye(dim) + half
+    x = scipy.linalg.lu_solve(lu, plus @ p)
+    p_pred = scipy.linalg.lu_solve(lu, plus @ x.T)
+    s = measurement_dt * noise.meas_full() + dt * p_pred[:m, :m]
+    gain_reg = np.linalg.solve(s.T, p_pred[:, :m].T).T
+    p_new = p_pred - dt * gain_reg @ p_pred[:m, :]
+    return 0.5 * (p_new + p_new.T)
+
+
+def process_full_reference(noise):
+    """Per-entry copy of the node blocks into the field-major layout."""
+    n = noise.n_nodes
+    out = np.zeros((12 * n, 12 * n))
+    for i in range(n):
+        for a in range(12):
+            ga = (a // 3) * 3 * n + 3 * i + a % 3
+            for b in range(12):
+                gb = (b // 3) * 3 * n + 3 * i + b % 3
+                out[ga, gb] = noise.process_cov[i, a, b]
+    return out
 
 
 @pytest.fixture
@@ -309,6 +345,60 @@ class TestRiccati:
         est = EstimatorState(state, 2e6 * np.eye(12 * n))
         with pytest.raises(CovarianceBlowup):
             riccati_step(est, op, noise, 2e-4)
+
+    @pytest.mark.parametrize("where", ["prior", "operator"])
+    def test_nan_input_raises_blowup(self, where):
+        n = 4
+        noise = self.make_noise(n)
+        op = LinearizedOperator.zeros(n)
+        state = make_initial_state(Grid(n_nodes=n, ds=0.1), "straight_at_rest")
+        prior = np.eye(12 * n)
+        (prior if where == "prior" else op.dense)[5, 5] = np.nan
+        with pytest.raises(CovarianceBlowup, match="non-finite"):
+            riccati_step(EstimatorState(state, prior), op, noise, 2e-4)
+
+    def test_singular_transition_raises_blowup(self):
+        n = 4
+        dt = 2e-4
+        noise = self.make_noise(n)
+        op = LinearizedOperator.zeros(n)
+        op.dense[7, 7] = 2.0 / dt  # I - dt A/2 has a zero pivot
+        state = make_initial_state(Grid(n_nodes=n, ds=0.1), "straight_at_rest")
+        with pytest.raises(CovarianceBlowup, match="singular"):
+            riccati_step(EstimatorState(state, np.eye(12 * n)), op, noise, dt)
+
+    @pytest.mark.parametrize("n_nodes", [21, 41])
+    def test_matches_lu_congruence_reference(self, n_nodes, ref_params, rng):
+        # perturbed swing state at the filter's refresh interval (stride 10)
+        grid = Grid.from_length(0.5, 0.5 / (n_nodes - 1))
+        ref = make_swing_trajectory(grid).evaluate(grid.s, 0.3)
+        bump = smooth_random_state(grid, rng, amp=0.005)
+        state = RodState(
+            ref.p + bump.p - np.outer(grid.s, [0.0, 0.0, 1.0]),
+            ref.rot @ bump.rot,
+            ref.v + bump.v,
+            ref.omega + bump.omega,
+        )
+        op = linearize_dynamics(state, Wrench.zero(n_nodes), ref_params, grid)
+        noise = NoiseModel.isotropic(grid, meas_var=0.02)
+        dt, meas_dt = 2e-3, 2e-4
+        p = 1e-6 * np.eye(12 * n_nodes)
+        for _ in range(3):  # correlate the prior the way live refreshes do
+            p = lu_reference_riccati(p, op, noise, dt, meas_dt)
+        expected = lu_reference_riccati(p, op, noise, dt, meas_dt)
+        actual = riccati_step(EstimatorState(state, p), op, noise, dt, measurement_dt=meas_dt)
+        assert np.max(np.abs(actual - expected)) / np.max(np.abs(expected)) <= 1e-10
+
+
+class TestNoiseModel:
+    def test_process_full_matches_per_entry_copy(self, rng):
+        grid = Grid(n_nodes=5, ds=0.1)
+        factors = rng.normal(size=(5, 12, 12))
+        noise = NoiseModel(
+            np.broadcast_to(0.02 * np.eye(3), (5, 3, 3)).copy(),
+            factors @ factors.transpose(0, 2, 1),
+        )
+        assert np.array_equal(noise.process_full(), process_full_reference(noise))
 
 
 class TestKalmanGain:

@@ -8,6 +8,7 @@ import pytest
 from softrod import (
     CovarianceBlowup,
     GainProfile,
+    NearPiRotation,
     NonFiniteState,
     RodState,
     check_trajectory_consistency,
@@ -16,6 +17,7 @@ from softrod import (
     run_closed_loop,
     tracking_errors,
 )
+from softrod import harness
 from softrod.cli import main as cli_main
 from softrod.harness import (
     METRICS_HEADER,
@@ -25,6 +27,20 @@ from softrod.harness import (
     config_lines,
     emit_csv,
 )
+
+
+def fail_second_log_so3(monkeypatch):
+    """Make the metrics' rotation log raise NearPiRotation from its second call on."""
+    real = harness.log_so3
+    calls = []
+
+    def log_so3(rot):
+        calls.append(None)
+        if len(calls) > 1:
+            raise NearPiRotation("forced near-pi relative rotation")
+        return real(rot)
+
+    monkeypatch.setattr(harness, "log_so3", log_so3)
 
 
 def quick_config(**kw):
@@ -182,6 +198,14 @@ class TestClosedLoop:
         assert "status=aborted" in (out / "report.txt").read_text()
         assert any(p.name.startswith("snapshot_") for p in out.iterdir())
 
+    def test_near_pi_rotation_aborts_with_post_mortem(self, tmp_path, monkeypatch):
+        fail_second_log_so3(monkeypatch)
+        out = tmp_path / "near_pi"
+        with pytest.raises(NearPiRotation):
+            run_closed_loop(quick_config(), out_dir=out)
+        assert "status=aborted" in (out / "report.txt").read_text()
+        assert any(p.name.startswith("snapshot_") for p in out.iterdir())
+
 
 class TestEmitCsv:
     def test_duration_zero_header_only(self, tmp_path):
@@ -281,6 +305,13 @@ class TestCli:
         rc = cli_main(["run", "--config", str(cfg_path)])
         assert rc == 2
         assert "unknown config key" in capsys.readouterr().err
+
+    def test_near_pi_rotation_is_an_aborted_run(self, tmp_path, monkeypatch, capsys):
+        fail_second_log_so3(monkeypatch)
+        rc = cli_main(["run", "--out", str(tmp_path / "out"), "--duration", "0.02"])
+        assert rc == 1
+        assert "run aborted" in capsys.readouterr().err
+        assert "status=aborted" in (tmp_path / "out" / "report.txt").read_text()
 
     def test_check_subcommand(self, capsys):
         assert cli_main(["check"]) == 0
