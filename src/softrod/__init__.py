@@ -15,11 +15,9 @@ from .control import (
 )
 from .discretize import (
     CflReport,
-    DerivativeOperator,
     GridTooSmall,
     IntegratorConfig,
     check_cfl,
-    d2_ds2,
     d_ds,
     step,
     step_coupled,
@@ -32,10 +30,7 @@ from .estimate import (
     NoiseModel,
     ekf_step,
     filter_update,
-    kalman_gain,
     linearize_dynamics,
-    observation_matrix,
-    reconstruct_strains,
     regularized_gain,
     riccati_step,
 )

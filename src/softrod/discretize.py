@@ -15,9 +15,9 @@ from functools import lru_cache
 import numpy as np
 
 from .geometry import exp_so3, project_so3
-from .rod import Grid, RodState, StateRates
+from .rod import FIELDS, RodState, StateRates
 
-SCHEMES = ("explicit_euler", "euler", "rk4")
+SCHEMES = ("euler", "rk4")
 
 
 class GridTooSmall(ValueError):
@@ -37,60 +37,12 @@ def _first_derivative_matrix(n_nodes, ds):
     return d / (2.0 * ds)
 
 
-@lru_cache(maxsize=32)
-def _second_derivative_matrix(n_nodes, ds):
-    if n_nodes < 4:
-        raise GridTooSmall(f"second derivative needs >= 4 nodes, got {n_nodes}")
-    d = np.zeros((n_nodes, n_nodes))
-    for i in range(1, n_nodes - 1):
-        d[i, i - 1] = 1.0
-        d[i, i] = -2.0
-        d[i, i + 1] = 1.0
-    d[0, :4] = [2.0, -5.0, 4.0, -1.0]
-    d[-1, -4:] = [-1.0, 4.0, -5.0, 2.0]
-    return d / ds**2
-
-
-@dataclass(frozen=True)
-class DerivativeOperator:
-    """Arc-length derivative of grid fields, applied along the node axis."""
-
-    grid: Grid
-    order: int = 1
-
-    @property
-    def matrix(self):
-        if self.order == 1:
-            return _first_derivative_matrix(self.grid.n_nodes, self.grid.ds)
-        if self.order == 2:
-            return _second_derivative_matrix(self.grid.n_nodes, self.grid.ds)
-        raise ValueError(f"unsupported derivative order {self.order}")
-
-    def __call__(self, field):
-        field = np.asarray(field, dtype=float)
-        if field.shape[0] != self.grid.n_nodes:
-            raise ValueError(
-                f"field has {field.shape[0]} nodes, grid has {self.grid.n_nodes}"
-            )
-        flat = self.matrix @ field.reshape(field.shape[0], -1)
-        return flat.reshape(field.shape)
-
-
 def d_ds(field, grid):
     """First arc-length derivative of a per-node field (any trailing shape)."""
     field = np.asarray(field, dtype=float)
     if field.shape[0] != grid.n_nodes:
         raise ValueError(f"field has {field.shape[0]} nodes, grid has {grid.n_nodes}")
     mat = _first_derivative_matrix(grid.n_nodes, grid.ds)
-    return (mat @ field.reshape(grid.n_nodes, -1)).reshape(field.shape)
-
-
-def d2_ds2(field, grid):
-    """Second arc-length derivative of a per-node field."""
-    field = np.asarray(field, dtype=float)
-    if field.shape[0] != grid.n_nodes:
-        raise ValueError(f"field has {field.shape[0]} nodes, grid has {grid.n_nodes}")
-    mat = _second_derivative_matrix(grid.n_nodes, grid.ds)
     return (mat @ field.reshape(grid.n_nodes, -1)).reshape(field.shape)
 
 
@@ -127,10 +79,11 @@ def step(state, rhs_fn, cfg, step_index=0, t=0.0):
     third order locally when the angular rate does not commute with its
     derivative (no commutator correction).  Every
     ``cfg.reorthonormalize_every``-th step (by ``step_index``) the rotation
-    field is polished with the polar projection to absorb rounding.
+    field is polished with the polar projection to absorb rounding.  The
+    fields may carry a leading batch axis, as in ``step_coupled``.
     """
     dt = cfg.dt
-    if cfg.scheme in ("explicit_euler", "euler"):
+    if cfg.scheme == "euler":
         new = _advance(state, rhs_fn(state, t), dt)
     else:
         k1 = rhs_fn(state, t)
@@ -155,41 +108,19 @@ def step_coupled(states, rhs_fn, cfg, step_index=0, t=0.0):
     ``rhs_fn(states, t)`` receives the tuple of stage states and returns a
     matching tuple of rates, so closures may couple the systems (e.g. a plant
     driven by a controller reading a co-integrated estimate) while every
-    subsystem sees the same stage values and stage times.
+    subsystem sees the same stage values and stage times.  The members are
+    stacked on a leading axis and advanced by ``step``.
     """
-    dt = cfg.dt
+    count = len(states)
 
-    def advance_all(base, rates, h):
-        # one batched exponential for all rotation fields
-        rots = np.stack([s.rot for s in base]) @ exp_so3(
-            h * np.stack([k.rot for k in rates])
-        )
-        return tuple(
-            RodState(s.p + h * k.p, rots[j], s.v + h * k.v, s.omega + h * k.omega)
-            for j, (s, k) in enumerate(zip(base, rates))
-        )
+    def split(batch):
+        return tuple(RodState(*(getattr(batch, f)[j] for f in FIELDS)) for j in range(count))
 
-    if cfg.scheme in ("explicit_euler", "euler"):
-        new = advance_all(states, rhs_fn(states, t), dt)
-    else:
-        k1 = rhs_fn(states, t)
-        k2 = rhs_fn(advance_all(states, k1, dt / 2.0), t + dt / 2.0)
-        k3 = rhs_fn(advance_all(states, k2, dt / 2.0), t + dt / 2.0)
-        k4 = rhs_fn(advance_all(states, k3, dt), t + dt)
-        combos = tuple(
-            StateRates(
-                (a.p + 2.0 * b.p + 2.0 * c.p + d.p) / 6.0,
-                (a.rot + 2.0 * b.rot + 2.0 * c.rot + d.rot) / 6.0,
-                (a.v + 2.0 * b.v + 2.0 * c.v + d.v) / 6.0,
-                (a.omega + 2.0 * b.omega + 2.0 * c.omega + d.omega) / 6.0,
-            )
-            for a, b, c, d in zip(k1, k2, k3, k4)
-        )
-        new = advance_all(states, combos, dt)
-    if (step_index + 1) % cfg.reorthonormalize_every == 0:
-        for state in new:
-            state.rot = project_so3(state.rot)
-    return new
+    def stacked_rhs(batch, tau):
+        return StateRates(*map(np.stack, zip(*rhs_fn(split(batch), tau))))
+
+    stacked = RodState(*(np.stack([getattr(s, f) for s in states]) for f in FIELDS))
+    return split(step(stacked, stacked_rhs, cfg, step_index=step_index, t=t))
 
 
 @dataclass(frozen=True)

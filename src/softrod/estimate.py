@@ -21,21 +21,18 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
 
-from .discretize import step
+from .discretize import _first_derivative_matrix, step
 from .geometry import hat
 from .rod import (
+    FIELDS,
     REFERENCE_STRETCH,
     NonFiniteState,
     RodState,
     StateRates,
     dynamics_rhs,
     strain_profile,
-    strains,
 )
-
-FIELDS = ("p", "rot", "v", "omega")
 
 
 class CovarianceBlowup(FloatingPointError):
@@ -69,16 +66,12 @@ def _const_mul(mat3, m):
 @lru_cache(maxsize=16)
 def _vector_stencil(n_nodes, ds):
     """First-derivative stencil acting on stacked per-node 3-vectors."""
-    from .discretize import _first_derivative_matrix
-
     return np.kron(_first_derivative_matrix(n_nodes, ds), np.eye(3))
 
 
 @lru_cache(maxsize=16)
 def _stencil_pairs(n_nodes, ds):
     """COO structure (rows, cols, coefficients) of the first-derivative stencil."""
-    from .discretize import _first_derivative_matrix
-
     d = _first_derivative_matrix(n_nodes, ds)
     ii, jj = np.nonzero(d)
     return ii, jj, d[ii, jj]
@@ -166,37 +159,17 @@ class LinearizedOperator:
         [ a31  a32      0    0   ]
         [ a41  a42      0    a44 ]
 
-    ``dense`` is the materialized (12n, 12n) array; ``matrix`` exposes the
-    same operator in CSR form (three-point stencils keep it narrowly banded).
+    ``dense`` is the materialized (12n, 12n) array (three-point stencils keep
+    it narrowly banded).
     """
 
     def __init__(self, dense, n_nodes):
         self.dense = dense
         self.n_nodes = n_nodes
-        self._sparse = None
-
-    @property
-    def matrix(self):
-        if self._sparse is None:
-            self._sparse = scipy.sparse.csr_matrix(self.dense)
-        return self._sparse
-
-    @property
-    def shape(self):
-        return self.dense.shape
-
-    def apply(self, dxi):
-        return self.dense @ dxi
 
     @classmethod
     def zeros(cls, n_nodes):
         return cls(np.zeros((12 * n_nodes, 12 * n_nodes)), n_nodes)
-
-
-def observation_matrix(n_nodes):
-    """Sparse observation operator selecting the position block."""
-    m = 3 * n_nodes
-    return scipy.sparse.eye(m, 12 * n_nodes, format="csr")
 
 
 def linearize_dynamics(state, wrench_total, params, grid):
@@ -311,9 +284,6 @@ class NoiseModel:
         """Dense block-diagonal (3n, 3n) measurement covariance."""
         return _block_diag(self.meas_cov)
 
-    def meas_inverse_full(self):
-        return _block_diag(np.linalg.inv(self.meas_cov))
-
     def process_full(self):
         """Process covariance mapped to the field-major (12n, 12n) layout."""
         if self.process_cov is None:
@@ -337,29 +307,6 @@ class KalmanGain:
         i = FIELDS.index(field)
         m = 3 * self.n_nodes
         return self.full[i * m : (i + 1) * m]
-
-    @property
-    def k_p(self):
-        return self.block("p")
-
-    @property
-    def k_rot(self):
-        return self.block("rot")
-
-    @property
-    def k_v(self):
-        return self.block("v")
-
-    @property
-    def k_omega(self):
-        return self.block("omega")
-
-
-def kalman_gain(covariance, noise):
-    """Continuous-time gain ``K = P C^T R^-1`` with per-field blocks exposed."""
-    n = noise.n_nodes
-    full = covariance[:, : 3 * n] @ noise.meas_inverse_full()
-    return KalmanGain(full=full, n_nodes=n)
 
 
 def regularized_gain(covariance, noise, dt):
@@ -487,13 +434,16 @@ def filter_update(
     estimate.
     """
     n = grid.n_nodes
-    degenerate = noise.process_cov is None and not est.covariance.any()
-    if degenerate:
+    if est.gain is not None and est.step_count % riccati_stride:
+        # between refreshes the covariance and the gain are held
+        covariance = est.covariance
+        gain = est.gain
+    elif noise.process_cov is None and not est.covariance.any():
         # zero prior and no process noise: the covariance stays zero and the
         # filter degenerates to pure model replay; skip the Riccati work
         covariance = est.covariance
         gain = est.gain or KalmanGain(np.zeros((12 * n, 3 * n)), n)
-    elif est.gain is None or est.step_count % riccati_stride == 0:
+    else:
         wrench_value = _resolve_wrench(wrench, est.estimate, est.step_count * cfg.dt)
         op = linearize_dynamics(est.estimate, wrench_value, params, grid)
         covariance = riccati_step(
@@ -505,9 +455,6 @@ def filter_update(
             measurement_dt=cfg.dt,
         )
         gain = regularized_gain(covariance, noise, cfg.dt)
-    else:
-        covariance = est.covariance
-        gain = est.gain
     innovation = (np.asarray(y, dtype=float) - est.estimate.p).reshape(-1)
     rates = [(gain.block(field) @ innovation).reshape(n, 3) for field in FIELDS]
     return covariance, gain, StateRates(*rates)
@@ -575,8 +522,3 @@ def ekf_step(
         step_count=est.step_count + 1,
         gain=gain,
     )
-
-
-def reconstruct_strains(est, grid):
-    """Strain estimates recovered from the pose estimate."""
-    return strains(est.estimate, grid)

@@ -454,7 +454,7 @@ def run_closed_loop(cfg, out_dir=None):
         for i in range(n_steps):
             t = i * cfg.dt
             y = plant.p + rng.normal(0.0, noise_std, size=(n, 3))
-            fb_state = plant if cfg.feedback == "true" else estimator.estimate
+            fb_state = plant if true_feedback else estimator.estimate
             if i % cfg.log_every == 0:
                 records.append(compute_metrics(t, plant, estimator.estimate, traj, gains, grid))
             if i % cfg.snapshot_every == 0:

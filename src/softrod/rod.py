@@ -18,6 +18,7 @@ from .geometry import axial, hat, require_rotation
 
 REFERENCE_STRETCH = np.array([0.0, 0.0, 1.0])  # undeformed linear strain
 REFERENCE_TWIST = np.zeros(3)  # undeformed angular strain
+FIELDS = ("p", "rot", "v", "omega")  # RodState and StateRates field order
 
 
 class NonFiniteState(FloatingPointError):
@@ -138,7 +139,7 @@ class RodState:
 
     def validate(self, tol=1e-9):
         n = self.p.shape[0]
-        for name in ("p", "rot", "v", "omega"):
+        for name in FIELDS:
             arr = getattr(self, name)
             if arr.shape[0] != n:
                 raise ValueError(f"field {name} has {arr.shape[0]} nodes, expected {n}")
@@ -210,13 +211,12 @@ def _rotate_to_global(rot, field):
     return np.matmul(rot, field[:, :, None])[:, :, 0]
 
 
-def strains(state, grid, skew_tol=None):
-    """Recover linear strain ``q = R^T p_s`` and angular strain ``u = (R^T R_s)^vee``.
+def _pose_strains(state, grid):
+    """Pose derivatives ``p_s``, ``R_s`` and the raw strains they give.
 
     The angular strain is taken from the antisymmetric part of ``R^T R_s``:
     on a grid the product is skew only up to O(ds^2 * u * u_s), so an exact
-    skewness demand would reject legitimately curved fields.  Pass
-    ``skew_tol`` to opt into a corruption check on ``|A + A^T|``; frame-field
+    skewness demand would reject legitimately curved fields; frame-field
     validity itself is checked by ``RodState.validate``.
     """
     from .discretize import d_ds
@@ -224,27 +224,21 @@ def strains(state, grid, skew_tol=None):
     p_s = d_ds(state.p, grid)
     rot_s = d_ds(state.rot, grid)
     q = _rotate_into_body(state.rot, p_s)
-    spin = np.matmul(state.rot.transpose(0, 2, 1), rot_s)
-    if skew_tol is not None:
-        drift = np.linalg.norm(spin + np.swapaxes(spin, -1, -2), axis=(-2, -1))
-        if np.any(drift > skew_tol):
-            from .geometry import NotSkewSymmetric
+    u = axial(np.matmul(state.rot.transpose(0, 2, 1), rot_s))
+    return p_s, rot_s, q, u
 
-            raise NotSkewSymmetric(
-                f"rotation-field spin drifted off skew: max |A + A^T| = "
-                f"{float(np.max(drift)):.3e} > {skew_tol:.1e}"
-            )
-    return q, axial(spin)
+
+def strains(state, grid):
+    """Recover linear strain ``q = R^T p_s`` and angular strain ``u = (R^T R_s)^vee``."""
+    _, _, q, u = _pose_strains(state, grid)
+    return q, u
 
 
 def strain_profile(state, grid):
     """Strain fields and derivatives with the free-tip substitution applied."""
     from .discretize import d_ds
 
-    p_s = d_ds(state.p, grid)
-    rot_s = d_ds(state.rot, grid)
-    q = _rotate_into_body(state.rot, p_s)
-    u = axial(np.matmul(state.rot.transpose(0, 2, 1), rot_s))
+    p_s, rot_s, q, u = _pose_strains(state, grid)
     # Pinning the tip strains to the reference encodes the load-free tip
     # through the constitutive law; derivatives see the substituted fields.
     q[-1] = REFERENCE_STRETCH

@@ -12,12 +12,10 @@ from softrod import (
     dynamics_rhs,
     RodState,
     ekf_step,
-    kalman_gain,
     linearize_dynamics,
     make_initial_state,
     make_swing_trajectory,
-    observation_matrix,
-    reconstruct_strains,
+    regularized_gain,
     riccati_step,
     step,
     strains,
@@ -243,8 +241,7 @@ class TestLinearizedOperator:
     def test_sparsity(self, small_setup):
         grid, params, state, wrench = small_setup
         op = linearize_dynamics(state, wrench, params, grid)
-        sparse = op.matrix
-        nnz_per_row = np.diff(sparse.indptr)
+        nnz_per_row = np.count_nonzero(op.dense, axis=1)
         assert np.max(nnz_per_row) <= 12 * 5  # own node plus stencil neighbors
 
     def test_clamped_rows_zero(self, small_setup):
@@ -253,13 +250,6 @@ class TestLinearizedOperator:
         op = linearize_dynamics(state, wrench, params, grid)
         for blk in range(4):
             assert np.max(np.abs(op.dense[blk * 3 * n : blk * 3 * n + 3])) == 0.0
-
-    def test_observation_matrix_selects_positions(self, small_setup, rng):
-        grid, params, state, wrench = small_setup
-        n = grid.n_nodes
-        c = observation_matrix(n)
-        xi = rng.normal(size=12 * n)
-        assert np.array_equal(c @ xi, xi[: 3 * n])
 
 
 class TestRiccati:
@@ -405,24 +395,15 @@ class TestKalmanGain:
     def test_zero_covariance_zero_gain(self):
         grid = Grid(n_nodes=4, ds=0.1)
         noise = NoiseModel.isotropic(grid, meas_var=0.02)
-        gain = kalman_gain(np.zeros((48, 48)), noise)
+        gain = regularized_gain(np.zeros((48, 48)), noise, 2e-4)
         assert np.max(np.abs(gain.full)) == 0.0
-
-    def test_identity_covariance_block_selection(self):
-        grid = Grid(n_nodes=4, ds=0.1)
-        r = 0.05
-        noise = NoiseModel.isotropic(grid, meas_var=r)
-        gain = kalman_gain(np.eye(48), noise)
-        assert np.allclose(gain.k_p, np.eye(12) / r, atol=1e-14)
-        for block in (gain.k_rot, gain.k_v, gain.k_omega):
-            assert np.max(np.abs(block)) == 0.0
 
     def test_uncoupled_fields_receive_no_innovation(self, rng):
         grid = Grid(n_nodes=4, ds=0.1)
         noise = NoiseModel.isotropic(grid, meas_var=0.02)
         cov = np.zeros((48, 48))
         cov[:12, :12] = np.eye(12) * 0.3  # covariance touches positions only
-        gain = kalman_gain(cov, noise)
+        gain = regularized_gain(cov, noise, 2e-4)
         innovation = rng.normal(size=12)
         update = gain.full @ innovation
         assert np.max(np.abs(update[12:])) == 0.0
@@ -501,13 +482,6 @@ class TestEkfStep:
 
 
 class TestReconstruction:
-    def test_delegates_to_strain_recovery(self, ref_grid, rng):
-        state = smooth_random_state(ref_grid, rng, amp=0.05)
-        est = EstimatorState.initialize(state)
-        q_hat, u_hat = reconstruct_strains(est, ref_grid)
-        q, u = strains(state, ref_grid)
-        assert np.array_equal(q_hat, q) and np.array_equal(u_hat, u)
-
     def test_position_noise_amplification(self, ref_grid, rng):
         # the central stencil turns iid position noise of std sigma into
         # strain noise of std ~ sigma / (sqrt(2) ds)
