@@ -76,12 +76,18 @@ class GainProfile:
 
 @dataclass
 class TrackingErrors:
-    """Per-node error fields between the rod and the desired motion."""
+    """Per-node error fields between the rod and the desired motion.
+
+    ``rel`` (``R^T R*``) and ``omega_ref`` (the desired rate transported into
+    the actual frame, ``R^T R* omega*``) are kept for ``virtual_inputs``.
+    """
 
     e_p: np.ndarray
     e_v: np.ndarray
     e_rot: np.ndarray
     e_omega: np.ndarray
+    rel: np.ndarray
+    omega_ref: np.ndarray
 
 
 def tracking_errors(state, traj, t, grid, ref=None):
@@ -94,11 +100,14 @@ def tracking_errors(state, traj, t, grid, ref=None):
     if ref is None:
         ref = traj.evaluate(grid.s, t)
     rel = np.matmul(state.rot.transpose(0, 2, 1), ref.rot)  # R^T R*
+    omega_ref = np.matmul(rel, ref.omega[:, :, None])[:, :, 0]
     return TrackingErrors(
         e_p=state.p - ref.p,
         e_v=state.v - ref.v,
         e_rot=rotation_error(state.rot, ref.rot),
-        e_omega=state.omega - np.matmul(rel, ref.omega[:, :, None])[:, :, 0],
+        e_omega=state.omega - omega_ref,
+        rel=rel,
+        omega_ref=omega_ref,
     )
 
 
@@ -108,16 +117,17 @@ def virtual_inputs(errors, state, traj, t, gains, grid, ref=None):
     ``f* = v_t* - kp e_p - kv e_v`` and
     ``l* = R^T R* omega_t* - kR e_R - kw e_w - omega x (R^T R* omega*)``.
     With zero errors both reduce to the pure feedforward accelerations.
+    ``errors`` must come from ``tracking_errors`` on the same state and time:
+    its ``rel`` and ``omega_ref`` are reused here.
     """
     if ref is None:
         ref = traj.evaluate(grid.s, t)
     f_star = ref.v_t - gains.kp[:, None] * errors.e_p - gains.kv[:, None] * errors.e_v
-    rel = np.matmul(state.rot.transpose(0, 2, 1), ref.rot)
     l_star = (
-        np.matmul(rel, ref.omega_t[:, :, None])[:, :, 0]
+        np.matmul(errors.rel, ref.omega_t[:, :, None])[:, :, 0]
         - gains.kr[:, None] * errors.e_rot
         - gains.kw[:, None] * errors.e_omega
-        - _cross(state.omega, np.matmul(rel, ref.omega[:, :, None])[:, :, 0])
+        - _cross(state.omega, errors.omega_ref)
     )
     return f_star, l_star
 

@@ -60,14 +60,12 @@ def axial(a):
     Total on all matrices; equals ``vee(a)`` when ``a`` is exactly skew.
     """
     a = np.asarray(a, dtype=float)
-    return 0.5 * np.stack(
-        [
-            a[..., 2, 1] - a[..., 1, 2],
-            a[..., 0, 2] - a[..., 2, 0],
-            a[..., 1, 0] - a[..., 0, 1],
-        ],
-        axis=-1,
-    )
+    out = np.empty(a.shape[:-2] + (3,))
+    np.subtract(a[..., 2, 1], a[..., 1, 2], out=out[..., 0])
+    np.subtract(a[..., 0, 2], a[..., 2, 0], out=out[..., 1])
+    np.subtract(a[..., 1, 0], a[..., 0, 1], out=out[..., 2])
+    out *= 0.5
+    return out
 
 
 def exp_so3(eta):

@@ -193,6 +193,8 @@ def config_lines(cfg):
 # ---------------------------------------------------------------------------
 # desired trajectory
 
+MEMO_SIZE = 3  # trajectory points SwingTrajectory.evaluate keeps
+
 
 class SwingTrajectory(DesiredTrajectory):
     """Planar bending swing of a clamped rod in the yz-plane.
@@ -220,6 +222,7 @@ class SwingTrajectory(DesiredTrajectory):
         self.frequency = float(frequency)
         self.phase = float(phase)
         self.length = float(length)
+        self._memo = []  # (t, s, point) of the last MEMO_SIZE fresh evaluations
 
     def swing_state(self, t):
         """Normalized swing phase and its first two time derivatives."""
@@ -235,7 +238,24 @@ class SwingTrajectory(DesiredTrajectory):
         return out
 
     def evaluate(self, s, t):
+        """Reference point at nodes ``s`` and time ``t``, memoised on exact keys.
+
+        RK4 samples ``t + dt/2`` twice per step and its ``t + dt`` is usually
+        the next step's start time to the bit, so the last ``MEMO_SIZE``
+        points are kept, keyed on ``t`` compared with ``==`` and on equal node
+        coordinates.  A returned point is shared between callers, so its
+        arrays are read-only.
+        """
         s = np.asarray(s, dtype=float)
+        for key_t, key_s, point in self._memo:
+            if key_t == t and np.array_equal(key_s, s):
+                return point
+        point = self._compute(s, t)
+        self._memo.insert(0, (t, s.copy(), point))
+        del self._memo[MEMO_SIZE:]
+        return point
+
+    def _compute(self, s, t):
         n = s.shape[0]
         profile = np.sin(np.pi * s / (2.0 * self.length)) ** 2
         swing, swing_t, swing_tt = self.swing_state(t)
@@ -251,27 +271,31 @@ class SwingTrajectory(DesiredTrajectory):
         rot[:, 2, 1] = si
         rot[:, 2, 2] = c
 
-        tangent = np.zeros((n, 3))
-        tangent[:, 1] = -si
-        tangent[:, 2] = c
-        tangent_t = np.zeros((n, 3))
-        tangent_t[:, 1] = -phi_t * c
-        tangent_t[:, 2] = -phi_t * si
-        tangent_tt = np.zeros((n, 3))
-        tangent_tt[:, 1] = -phi_tt * c + phi_t * phi_t * si
-        tangent_tt[:, 2] = -phi_tt * si - phi_t * phi_t * c
+        # tangent, its first and its second time derivative side by side:
+        # cumsum runs per column, so one quadrature equals three
+        tangents = np.zeros((n, 9))
+        tangents[:, 1] = -si
+        tangents[:, 2] = c
+        tangents[:, 4] = -phi_t * c
+        tangents[:, 5] = -phi_t * si
+        tangents[:, 7] = -phi_tt * c + phi_t * phi_t * si
+        tangents[:, 8] = -phi_tt * si - phi_t * phi_t * c
+        integrals = self._cumtrapz(tangents, s)
         omega = np.zeros((n, 3))
         omega[:, 0] = phi_t
         omega_t = np.zeros((n, 3))
         omega_t[:, 0] = phi_tt
-        return TrajectoryPoint(
-            p=self._cumtrapz(tangent, s),
+        point = TrajectoryPoint(
+            p=integrals[:, 0:3],
             rot=rot,
-            v=self._cumtrapz(tangent_t, s),
+            v=integrals[:, 3:6],
             omega=omega,
-            v_t=self._cumtrapz(tangent_tt, s),
+            v_t=integrals[:, 6:9],
             omega_t=omega_t,
         )
+        for arr in point:
+            arr.flags.writeable = False
+        return point
 
 
 def make_swing_trajectory(grid, amplitude=np.pi / 3.0, frequency=0.5, phase=np.pi / 2.0):
@@ -403,6 +427,15 @@ def run_closed_loop(cfg, out_dir=None):
         # re-evaluates its wrench at the stage states of the configured
         # feedback source, so the cancellation never goes stale within a
         # step, and the filter prediction sees the same applied wrench
+        def estimate_rates(est_stage, wrench, tau, **shared):
+            try:
+                return dynamics_rhs(est_stage, wrench, params, grid, **shared)
+            except NonFiniteState as exc:
+                raise NonFiniteState(
+                    f"estimate diverged: its state derivative is non-finite (NaN/Inf) "
+                    f"at stage time t={tau!r}"
+                ) from exc
+
         def rhs(states, tau):
             plant_stage, est_stage = states
             fb = plant_stage if true_feedback else est_stage
@@ -410,16 +443,18 @@ def run_closed_loop(cfg, out_dir=None):
             fb_profile = strain_profile(fb, grid)
             fb_loads = load_terms(fb, fb_profile, params)
             wrench = controller_wrench(fb, tau, ref=ref, profile=fb_profile, loads=fb_loads)
+            # the feedback source goes first: a non-finite feedback state
+            # poisons the wrench, and the guard then names the source
             if true_feedback:
                 plant_rates = dynamics_rhs(
                     plant_stage, wrench, params, grid, profile=fb_profile, loads=fb_loads
                 )
-                est_rates = dynamics_rhs(est_stage, wrench, params, grid)
+                est_rates = estimate_rates(est_stage, wrench, tau)
             else:
-                plant_rates = dynamics_rhs(plant_stage, wrench, params, grid)
-                est_rates = dynamics_rhs(
-                    est_stage, wrench, params, grid, profile=fb_profile, loads=fb_loads
+                est_rates = estimate_rates(
+                    est_stage, wrench, tau, profile=fb_profile, loads=fb_loads
                 )
+                plant_rates = dynamics_rhs(plant_stage, wrench, params, grid)
             return (
                 plant_rates,
                 StateRates(

@@ -271,12 +271,18 @@ def load_terms(state, profile, params):
     force = _rotate_to_global(state.rot, profile.q_s @ kl.T) + _rotate_to_global(
         profile.rot_s, kl_dq
     )
-    moment = (
-        profile.u_s @ ka.T
-        + _cross(profile.u, du @ ka.T)
-        + _cross(profile.q, kl_dq)
-        - _cross(state.omega, state.omega @ params.rotational_mass.T)
-    )
+    # the three cross products of the moment term in one call
+    n = dq.shape[0]
+    left = np.empty((3, n, 3))
+    right = np.empty((3, n, 3))
+    left[0] = profile.u
+    right[0] = du @ ka.T
+    left[1] = profile.q
+    right[1] = kl_dq
+    left[2] = state.omega
+    right[2] = state.omega @ params.rotational_mass.T
+    crosses = _cross(left, right)
+    moment = profile.u_s @ ka.T + crosses[0] + crosses[1] - crosses[2]
     return force, moment
 
 
@@ -309,10 +315,10 @@ def dynamics_rhs(state, wrench, params, grid, profile=None, loads=None):
     v_t[0] = 0.0
     omega_t[0] = 0.0
     if not (
-        np.all(np.isfinite(p_t))
-        and np.all(np.isfinite(rot_t))
-        and np.all(np.isfinite(v_t))
-        and np.all(np.isfinite(omega_t))
+        np.isfinite(p_t).all()
+        and np.isfinite(rot_t).all()
+        and np.isfinite(v_t).all()
+        and np.isfinite(omega_t).all()
     ):
         raise NonFiniteState("state derivative blew up (NaN/Inf); check the time step")
     return StateRates(p_t, rot_t, v_t, omega_t)

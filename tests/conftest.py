@@ -1,3 +1,11 @@
+import os
+
+# One BLAS thread, set before numpy loads.  With two OpenBLAS threads the
+# Riccati refresh rounds differently and criterion 4's seeds stop on
+# different guards from machine to machine.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
 import numpy as np
 import pytest
 

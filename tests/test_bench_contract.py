@@ -2,11 +2,12 @@
 
 The tracer patches every ``(module, attr)`` it lists and ``StepClock`` patches
 the integrator names ``harness`` binds; a rename or deletion in the package
-would only surface when the benchmark runs.  ``bench/`` is imported, never
-edited.
+would only surface when the benchmark runs.  The benchmark's own self-test
+runs here too.  ``bench/`` is imported and run, never edited.
 """
 
 import importlib.util
+import subprocess
 import sys
 from pathlib import Path
 
@@ -41,3 +42,17 @@ def test_traced_name_resolves_to_callable(module, attr):
 def test_harness_binds_step_clock_names():
     for name in load_bench_module("workloads").StepClock.NAMES:
         assert callable(getattr(harness, name, None)), name
+
+
+def test_bench_self_test_passes():
+    # among its checks: the per-step count of trajectory evaluations, which
+    # the trajectory memo must keep (a hit still counts as a call)
+    proc = subprocess.run(
+        [sys.executable, str(BENCH / "run.py"), "--self-test"],
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines and all(line.startswith("PASS ") for line in lines), proc.stdout

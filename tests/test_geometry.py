@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from softrod.geometry import (
     NearPiRotation,
@@ -17,6 +20,22 @@ from softrod.geometry import (
 )
 
 from conftest import random_rotations
+
+
+def stacked_axial(a):
+    """``axial`` in its earlier one-``np.stack`` form, the reference for bit equality."""
+    a = np.asarray(a, dtype=float)
+    return 0.5 * np.stack(
+        [
+            a[..., 2, 1] - a[..., 1, 2],
+            a[..., 0, 2] - a[..., 2, 0],
+            a[..., 1, 0] - a[..., 0, 1],
+        ],
+        axis=-1,
+    )
+
+
+finite_floats = st.floats(-1e6, 1e6)
 
 
 def series_exp(eta, terms=20):
@@ -63,6 +82,18 @@ class TestHatVee:
         assert np.array_equal(axial(np.diag([1.0, 2.0, 3.0])), np.zeros(3))
         u = np.array([0.3, -0.7, 1.1])
         assert np.allclose(axial(hat(u)), u, atol=0.0)
+
+    @settings(deadline=None)
+    @given(
+        st.one_of(
+            arrays(float, (3, 3), elements=finite_floats),
+            st.integers(1, 30).flatmap(
+                lambda n: arrays(float, (n, 3, 3), elements=finite_floats)
+            ),
+        )
+    )
+    def test_axial_matches_stacked_reference(self, a):
+        assert np.array_equal(axial(a), stacked_axial(a))
 
 
 class TestExpLog:

@@ -20,6 +20,7 @@ from softrod import (
 from softrod import harness
 from softrod.cli import main as cli_main
 from softrod.harness import (
+    FEEDBACK_MODES,
     METRICS_HEADER,
     RunConfig,
     apply_overrides,
@@ -118,6 +119,35 @@ class TestSwingTrajectory:
         with pytest.raises(ValueError):
             make_swing_trajectory(ref_grid, frequency=0.0)
 
+    def test_memo_over_rk4_stage_times_matches_fresh_points(self, ref_grid):
+        traj = make_swing_trajectory(ref_grid)
+        t, dt = 0.37, 2e-4
+        stage_times = (t, t + dt / 2.0, t + dt / 2.0, t + dt, t + dt)
+        points = [traj.evaluate(ref_grid.s, tau) for tau in stage_times]
+        for tau, point in zip(stage_times, points):
+            fresh = make_swing_trajectory(ref_grid).evaluate(ref_grid.s, tau)
+            for got, want in zip(point, fresh):
+                assert np.array_equal(got, want)
+        # the repeated stage times are memo hits
+        assert points[2] is points[1] and points[4] is points[3]
+
+    def test_memo_misses_on_other_nodes_at_the_same_time(self, ref_grid):
+        traj = make_swing_trajectory(ref_grid)
+        t = 0.25
+        on_grid = traj.evaluate(ref_grid.s, t)
+        s_half = ref_grid.s[::2]
+        half = traj.evaluate(s_half, t)
+        assert half is not on_grid
+        fresh = make_swing_trajectory(ref_grid).evaluate(s_half, t)
+        for got, want in zip(half, fresh):
+            assert np.array_equal(got, want)
+
+    def test_memo_points_are_read_only(self, ref_grid):
+        point = make_swing_trajectory(ref_grid).evaluate(ref_grid.s, 0.1)
+        for arr in point:
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+
 
 class TestClosedLoop:
     def test_smoke_records_and_outputs(self, tmp_path):
@@ -197,6 +227,21 @@ class TestClosedLoop:
         assert (out / "metrics.csv").exists()
         assert "status=aborted" in (out / "report.txt").read_text()
         assert any(p.name.startswith("snapshot_") for p in out.iterdir())
+
+    @pytest.mark.parametrize("feedback", FEEDBACK_MODES)
+    def test_estimate_divergence_names_the_estimate(self, feedback, monkeypatch):
+        # a non-finite innovation rate sends the estimate off at the next stage
+        real = harness.filter_update
+
+        def filter_update(*args, **kwargs):
+            covariance, gain, correction = real(*args, **kwargs)
+            poisoned = correction._replace(omega=np.full_like(correction.omega, np.nan))
+            return covariance, gain, poisoned
+
+        monkeypatch.setattr(harness, "filter_update", filter_update)
+        cfg = quick_config(initial_covariance=0.0, feedback=feedback)
+        with pytest.raises(NonFiniteState, match=r"estimate diverged.* stage time t=0\.0001\b"):
+            run_closed_loop(cfg)
 
     def test_near_pi_rotation_aborts_with_post_mortem(self, tmp_path, monkeypatch):
         fail_second_log_so3(monkeypatch)

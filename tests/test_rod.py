@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from softrod import (
     Grid,
@@ -13,7 +16,14 @@ from softrod import (
     strains,
 )
 from softrod.geometry import exp_so3
-from softrod.rod import REFERENCE_STRETCH, strain_profile
+from softrod.rod import (
+    REFERENCE_STRETCH,
+    REFERENCE_TWIST,
+    StrainProfile,
+    _cross,
+    load_terms,
+    strain_profile,
+)
 
 from conftest import smooth_random_state
 
@@ -138,6 +148,39 @@ class TestInternalLoads:
         expected = ref_params.youngs_modulus * ref_params.inertia[1, 1] * kappa
         assert np.allclose(m, [0.0, expected, 0.0], rtol=1e-12)
         assert np.max(np.abs(n)) == 0.0
+
+
+def three_cross_moment(state, profile, params):
+    """``load_terms``' moment with one ``_cross`` per product: the bit-equality reference."""
+    ka, kl = params.stiffness_angular, params.stiffness_linear
+    dq = profile.q - REFERENCE_STRETCH
+    du = profile.u - REFERENCE_TWIST
+    return (
+        profile.u_s @ ka.T
+        + _cross(profile.u, du @ ka.T)
+        + _cross(profile.q, dq @ kl.T)
+        - _cross(state.omega, state.omega @ params.rotational_mass.T)
+    )
+
+
+class TestLoadTerms:
+    @settings(deadline=None)
+    @given(
+        st.integers(2, 30).flatmap(
+            lambda n: arrays(float, (7, n, 3), elements=st.floats(-1e3, 1e3))
+        )
+    )
+    def test_moment_matches_three_cross_reference(self, fields):
+        params = RodParams(
+            length=0.5, radius=0.02, density=2000.0, youngs_modulus=3.0e7, shear_modulus=1.0e7
+        )
+        p, v, omega, q, u, q_s, u_s = fields
+        n = p.shape[0]
+        rot = np.broadcast_to(np.eye(3), (n, 3, 3))
+        state = RodState(p, rot, v, omega)
+        profile = StrainProfile(p, rot, q, u, q_s, u_s)
+        _, moment = load_terms(state, profile, params)
+        assert np.array_equal(moment, three_cross_moment(state, profile, params))
 
 
 class TestDynamics:
