@@ -25,7 +25,6 @@ from .discretize import (
 from .estimate import (
     CovarianceBlowup,
     EstimatorState,
-    KalmanGain,
     LinearizedOperator,
     NoiseModel,
     ekf_step,

@@ -192,19 +192,27 @@ class TrackingBasinReport:
         )
 
 
+def attitude_margins(ref_rot, rot, e_omega, kr):
+    """Per-node attitude defect ``tr(I - R*^T R)`` and basin rate margin.
+
+    The rate margin is ``kR (4 - defect) - |e_w|^2``; the basin holds while it
+    stays positive.
+    """
+    rel = np.einsum("nji,njk->nik", ref_rot, rot)  # R*^T R
+    angle_defect = 3.0 - np.trace(rel, axis1=-2, axis2=-1)
+    return angle_defect, kr * (4.0 - angle_defect) - np.sum(e_omega**2, axis=-1)
+
+
 def check_tracking_basin(state0, traj, gains, grid):
     """Evaluate the convergence-basin inequalities on the initial state."""
     ref = traj.evaluate(grid.s, 0.0)
-    rel = np.einsum("nji,njk->nik", ref.rot, state0.rot)  # R*^T R
-    angle_defect = 3.0 - np.trace(rel, axis1=-2, axis2=-1)  # tr(I - R*^T R)
     errors = tracking_errors(state0, traj, 0.0, grid)
+    angle_defect, rate_margin = attitude_margins(ref.rot, state0.rot, errors.e_omega, gains.kr)
     rate_sq = np.sum(errors.e_omega**2, axis=-1)
-    angle_margin = 4.0 - angle_defect
-    rate_margin = gains.kr * angle_margin - rate_sq
     level_ratio = (0.5 * gains.kr * angle_defect + 0.5 * rate_sq) / gains.kr
     return TrackingBasinReport(
         angle_defect=angle_defect,
-        angle_margin=angle_margin,
+        angle_margin=4.0 - angle_defect,
         rate_margin=rate_margin,
         coupling_bound=GainProfile.c_upper_bound(gains.kr, gains.kw),
         level_ratio=level_ratio,
@@ -232,8 +240,7 @@ def lyapunov_value(errors, state, traj, t, gains, grid):
     defect, angular-rate energy and the ``c``-coupling cross term.
     """
     ref = traj.evaluate(grid.s, t)
-    rel = np.einsum("nji,njk->nik", ref.rot, state.rot)
-    angle_defect = 3.0 - np.trace(rel, axis1=-2, axis2=-1)
+    angle_defect, _ = attitude_margins(ref.rot, state.rot, errors.e_omega, gains.kr)
     p11, p12, p22 = position_lyapunov_matrix(gains.kp, gains.kv)
     ep2 = np.sum(errors.e_p**2, axis=-1)
     ev2 = np.sum(errors.e_v**2, axis=-1)

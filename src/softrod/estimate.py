@@ -25,7 +25,6 @@ import scipy.linalg
 from .discretize import _first_derivative_matrix, step
 from .geometry import hat
 from .rod import (
-    FIELDS,
     REFERENCE_STRETCH,
     NonFiniteState,
     RodState,
@@ -296,19 +295,6 @@ class NoiseModel:
         return out
 
 
-@dataclass(frozen=True)
-class KalmanGain:
-    """Gain operator partitioned into the four per-field row blocks."""
-
-    full: np.ndarray  # (12n, 3n)
-    n_nodes: int
-
-    def block(self, field):
-        i = FIELDS.index(field)
-        m = 3 * self.n_nodes
-        return self.full[i * m : (i + 1) * m]
-
-
 def regularized_gain(covariance, noise, dt):
     """Innovation gain consistent with one measurement per ``dt``.
 
@@ -320,11 +306,9 @@ def regularized_gain(covariance, noise, dt):
     no matter how large the covariance rides (the operator linearized along a
     driven swing is genuinely unstable, so transients can be large).
     """
-    n = noise.n_nodes
-    m = 3 * n
+    m = 3 * noise.n_nodes
     s = dt * (noise.meas_full() + covariance[:m, :m])
-    full = np.linalg.solve(s.T, covariance[:, :m].T).T
-    return KalmanGain(full=full, n_nodes=n)
+    return np.linalg.solve(s.T, covariance[:, :m].T).T
 
 
 @dataclass
@@ -332,30 +316,25 @@ class EstimatorState:
     """Filter estimate plus the grid-discretized covariance.
 
     The covariance is field-major: rows/columns ``[p; rot; v; omega]`` with
-    3n entries per field (the rotation block is in exponential coordinates).
+    3n entries per field (the rotation block is in exponential coordinates),
+    and the held gain is the matching field-major (12n, 3n) array.
     """
 
     estimate: RodState
     covariance: np.ndarray
     step_count: int = 0
-    gain: Optional[KalmanGain] = None
+    gain: Optional[np.ndarray] = None
 
     @classmethod
     def initialize(cls, state, covariance_scale=1e-6):
         n = state.n_nodes
         return cls(state.copy(), covariance_scale * np.eye(12 * n))
 
-    def min_covariance_eigenvalue(self):
-        return float(np.min(np.linalg.eigvalsh(self.covariance)))
-
-    def validate(self, sym_tol=1e-9, psd_tol=-1e-8):
-        p = self.covariance
-        asym = float(np.max(np.abs(p - p.T)))
-        if asym > sym_tol:
-            raise ValueError(f"covariance asymmetry {asym:.3e} > {sym_tol:.1e}")
-        if self.min_covariance_eigenvalue() < psd_tol:
-            raise ValueError("covariance lost positive semidefiniteness")
-        self.estimate.validate()
+    def advanced(self, estimate, covariance, gain):
+        """The filter state one step on, after a finiteness check of ``estimate``."""
+        if not np.all(np.isfinite(estimate.p)):
+            raise NonFiniteState("estimator position field blew up")
+        return EstimatorState(estimate, covariance, self.step_count + 1, gain)
 
 
 def riccati_step(est, op, noise, dt, cap=1e6, measurement_dt=None):
@@ -409,10 +388,6 @@ def riccati_step(est, op, noise, dt, cap=1e6, measurement_dt=None):
     return p_new
 
 
-def _resolve_wrench(wrench, state, t):
-    return wrench(state, t) if callable(wrench) else wrench
-
-
 def filter_update(
     est,
     y,
@@ -429,11 +404,12 @@ def filter_update(
     Relinearizes and advances the covariance every ``riccati_stride``-th call
     (covering ``stride * dt`` of filter time per refresh) and returns the new
     covariance, the held gain and the per-field innovation rates for the
-    current measurement.  ``wrench`` may be a ``Wrench`` or a callable
-    ``(state, t) -> Wrench``; the linearization uses its value at the current
-    estimate.
+    current measurement.  ``wrench`` is a callable ``(state, t) -> Wrench``,
+    called on a refresh only: the linearization uses its value at the
+    current estimate.
     """
     n = grid.n_nodes
+    m = 3 * n
     if est.gain is not None and est.step_count % riccati_stride:
         # between refreshes the covariance and the gain are held
         covariance = est.covariance
@@ -442,9 +418,9 @@ def filter_update(
         # zero prior and no process noise: the covariance stays zero and the
         # filter degenerates to pure model replay; skip the Riccati work
         covariance = est.covariance
-        gain = est.gain or KalmanGain(np.zeros((12 * n, 3 * n)), n)
+        gain = est.gain if est.gain is not None else np.zeros((4 * m, m))
     else:
-        wrench_value = _resolve_wrench(wrench, est.estimate, est.step_count * cfg.dt)
+        wrench_value = wrench(est.estimate, est.step_count * cfg.dt)
         op = linearize_dynamics(est.estimate, wrench_value, params, grid)
         covariance = riccati_step(
             est,
@@ -456,28 +432,20 @@ def filter_update(
         )
         gain = regularized_gain(covariance, noise, cfg.dt)
     innovation = (np.asarray(y, dtype=float) - est.estimate.p).reshape(-1)
-    rates = [(gain.block(field) @ innovation).reshape(n, 3) for field in FIELDS]
+    # one product per field row block, batched (a flat (12n, 3n) product
+    # rounds differently)
+    rates = (gain.reshape(4, m, m) @ innovation).reshape(4, n, 3)
     return covariance, gain, StateRates(*rates)
 
 
-def corrected_dynamics(wrench, params, grid, correction):
-    """Plant right-hand side plus constant innovation rates.
+def with_innovation(rates, correction):
+    """Plant rates plus the constant innovation rates of one filter step.
 
     The orientation rate correction adds to the body angular-velocity tangent,
     so the integrator's exponential update realizes
     ``R <- R exp(dt (omega + K_rot (y - p)))``.
     """
-
-    def rhs(state, t):
-        rates = dynamics_rhs(state, _resolve_wrench(wrench, state, t), params, grid)
-        return StateRates(
-            rates.p + correction.p,
-            rates.rot + correction.rot,
-            rates.v + correction.v,
-            rates.omega + correction.omega,
-        )
-
-    return rhs
+    return StateRates(*(rate + extra for rate, extra in zip(rates, correction)))
 
 
 def ekf_step(
@@ -494,15 +462,13 @@ def ekf_step(
     """One predict-correct cycle of the filter.
 
     Runs ``filter_update`` and then advances the estimate under the plant
-    dynamics plus the innovation rates using the configured scheme.
-    ``wrench_total`` may be the applied wrench or a callable giving the
-    applied wrench as a function of (state, t), in which case the prediction
-    re-evaluates it at the integrator stages.
+    dynamics, driven by the applied wrench ``wrench_total``, plus the
+    innovation rates using the configured scheme.
     """
     covariance, gain, correction = filter_update(
         est,
         y,
-        wrench_total,
+        lambda _s, _t: wrench_total,
         params,
         grid,
         noise,
@@ -510,15 +476,11 @@ def ekf_step(
         riccati_stride=riccati_stride,
         covariance_cap=covariance_cap,
     )
-    rhs = corrected_dynamics(wrench_total, params, grid, correction)
+
+    def rhs(state, _t):
+        return with_innovation(dynamics_rhs(state, wrench_total, params, grid), correction)
+
     new_estimate = step(
         est.estimate, rhs, cfg, step_index=est.step_count, t=est.step_count * cfg.dt
     )
-    if not np.all(np.isfinite(new_estimate.p)):
-        raise NonFiniteState("estimator position field blew up")
-    return EstimatorState(
-        estimate=new_estimate,
-        covariance=covariance,
-        step_count=est.step_count + 1,
-        gain=gain,
-    )
+    return est.advanced(new_estimate, covariance, gain)

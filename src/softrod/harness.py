@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -19,6 +20,7 @@ from .control import (
     DesiredTrajectory,
     GainProfile,
     TrajectoryPoint,
+    attitude_margins,
     check_tracking_basin,
     feedforward_transform,
     lyapunov_value,
@@ -26,14 +28,13 @@ from .control import (
     virtual_inputs,
 )
 from .discretize import IntegratorConfig, check_cfl, step, step_coupled
-from .estimate import CovarianceBlowup, EstimatorState, NoiseModel, filter_update
+from .estimate import CovarianceBlowup, EstimatorState, NoiseModel, filter_update, with_innovation
 from .geometry import NearPiRotation, log_so3
 from .rod import (
     Grid,
     NonFiniteState,
     RodParams,
     RodState,
-    StateRates,
     Wrench,
     dynamics_rhs,
     load_terms,
@@ -243,15 +244,18 @@ class SwingTrajectory(DesiredTrajectory):
         RK4 samples ``t + dt/2`` twice per step and its ``t + dt`` is usually
         the next step's start time to the bit, so the last ``MEMO_SIZE``
         points are kept, keyed on ``t`` compared with ``==`` and on equal node
-        coordinates.  A returned point is shared between callers, so its
-        arrays are read-only.
+        coordinates.  A read-only ``s`` that owns its data (``Grid.s``) is
+        kept by reference and matched by identity first; any other ``s`` is
+        copied.  A returned point is shared between callers, so its arrays
+        are read-only.
         """
         s = np.asarray(s, dtype=float)
         for key_t, key_s, point in self._memo:
-            if key_t == t and np.array_equal(key_s, s):
+            if key_t == t and (key_s is s or np.array_equal(key_s, s)):
                 return point
         point = self._compute(s, t)
-        self._memo.insert(0, (t, s.copy(), point))
+        shared = not s.flags.writeable and s.base is None
+        self._memo.insert(0, (t, s if shared else s.copy(), point))
         del self._memo[MEMO_SIZE:]
         return point
 
@@ -346,9 +350,7 @@ def compute_metrics(t, plant, estimate, traj, gains, grid):
     errs = tracking_errors(plant, traj, t, grid)
     v1, v2 = lyapunov_value(errs, plant, traj, t, gains, grid)
     ref = traj.evaluate(grid.s, t)
-    rel = np.einsum("nji,njk->nik", ref.rot, plant.rot)
-    angle_defect = 3.0 - np.trace(rel, axis1=-2, axis2=-1)
-    rate_margin = gains.kr * (4.0 - angle_defect) - np.sum(errs.e_omega**2, axis=-1)
+    _, rate_margin = attitude_margins(ref.rot, plant.rot, errs.e_omega, gains.kr)
     est_rel = np.einsum("nji,njk->nik", estimate.rot, plant.rot)
     return MetricsRecord(
         t=float(t),
@@ -422,57 +424,48 @@ def run_closed_loop(cfg, out_dir=None):
         )
         return wrench_env + wrench_c
 
+    def closed_loop_rates(state, tau):
+        # the controller wrench at the feedback state and that state's rates,
+        # sharing its strain profile and loads
+        ref = traj.evaluate(grid.s, tau)
+        profile = strain_profile(state, grid)
+        loads = load_terms(state, profile, params)
+        wrench = controller_wrench(state, tau, ref=ref, profile=profile, loads=loads)
+        return wrench, dynamics_rhs(state, wrench, params, grid, profile=profile, loads=loads)
+
+    @contextmanager
+    def naming_the_estimate(tau):
+        try:
+            yield
+        except NonFiniteState as exc:
+            raise NonFiniteState(
+                f"estimate diverged: its state derivative is non-finite (NaN/Inf) "
+                f"at stage time t={tau!r}"
+            ) from exc
+
     def coupled_rhs(correction):
         # plant and estimate advance through shared stages: the controller
         # re-evaluates its wrench at the stage states of the configured
         # feedback source, so the cancellation never goes stale within a
         # step, and the filter prediction sees the same applied wrench
-        def estimate_rates(est_stage, wrench, tau, **shared):
-            try:
-                return dynamics_rhs(est_stage, wrench, params, grid, **shared)
-            except NonFiniteState as exc:
-                raise NonFiniteState(
-                    f"estimate diverged: its state derivative is non-finite (NaN/Inf) "
-                    f"at stage time t={tau!r}"
-                ) from exc
-
         def rhs(states, tau):
             plant_stage, est_stage = states
-            fb = plant_stage if true_feedback else est_stage
-            ref = traj.evaluate(grid.s, tau)
-            fb_profile = strain_profile(fb, grid)
-            fb_loads = load_terms(fb, fb_profile, params)
-            wrench = controller_wrench(fb, tau, ref=ref, profile=fb_profile, loads=fb_loads)
             # the feedback source goes first: a non-finite feedback state
             # poisons the wrench, and the guard then names the source
             if true_feedback:
-                plant_rates = dynamics_rhs(
-                    plant_stage, wrench, params, grid, profile=fb_profile, loads=fb_loads
-                )
-                est_rates = estimate_rates(est_stage, wrench, tau)
+                wrench, plant_rates = closed_loop_rates(plant_stage, tau)
+                with naming_the_estimate(tau):
+                    est_rates = dynamics_rhs(est_stage, wrench, params, grid)
             else:
-                est_rates = estimate_rates(
-                    est_stage, wrench, tau, profile=fb_profile, loads=fb_loads
-                )
+                with naming_the_estimate(tau):
+                    wrench, est_rates = closed_loop_rates(est_stage, tau)
                 plant_rates = dynamics_rhs(plant_stage, wrench, params, grid)
-            return (
-                plant_rates,
-                StateRates(
-                    est_rates.p + correction.p,
-                    est_rates.rot + correction.rot,
-                    est_rates.v + correction.v,
-                    est_rates.omega + correction.omega,
-                ),
-            )
+            return plant_rates, with_innovation(est_rates, correction)
 
         return rhs
 
     def solo_rhs(state, tau):
-        ref = traj.evaluate(grid.s, tau)
-        profile = strain_profile(state, grid)
-        loads = load_terms(state, profile, params)
-        wrench = controller_wrench(state, tau, ref=ref, profile=profile, loads=loads)
-        return dynamics_rhs(state, wrench, params, grid, profile=profile, loads=loads)
+        return closed_loop_rates(state, tau)[1]
 
     def states_match(a, b):
         return (
@@ -519,9 +512,7 @@ def run_closed_loop(cfg, out_dir=None):
                     step_index=i,
                     t=t,
                 )
-            if not np.all(np.isfinite(est_state.p)):
-                raise NonFiniteState("estimator position field blew up")
-            estimator = EstimatorState(est_state, covariance, i + 1, gain)
+            estimator = estimator.advanced(est_state, covariance, gain)
         if n_steps > 0:
             t_end = n_steps * cfg.dt
             records.append(compute_metrics(t_end, plant, estimator.estimate, traj, gains, grid))

@@ -10,11 +10,12 @@ four-state rod dynamics with a clamped base and a load-free tip.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import axial, hat, require_rotation
+from .geometry import axial, require_rotation
 
 REFERENCE_STRETCH = np.array([0.0, 0.0, 1.0])  # undeformed linear strain
 REFERENCE_TWIST = np.zeros(3)  # undeformed angular strain
@@ -49,9 +50,12 @@ class Grid:
     def length(self):
         return self.ds * (self.n_nodes - 1)
 
-    @property
+    @cached_property
     def s(self):
-        return np.arange(self.n_nodes) * self.ds
+        """Node coordinates, computed once and read-only (callers share them)."""
+        s = np.arange(self.n_nodes) * self.ds
+        s.flags.writeable = False
+        return s
 
 
 @dataclass(frozen=True)

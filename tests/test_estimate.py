@@ -1,17 +1,22 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from softrod import (
     EstimatorState,
     Grid,
     IntegratorConfig,
     NoiseModel,
+    NonFiniteState,
     RodParams,
     Wrench,
     dynamics_rhs,
     RodState,
+    StateRates,
     ekf_step,
+    filter_update,
     linearize_dynamics,
     make_initial_state,
     make_swing_trajectory,
@@ -314,8 +319,8 @@ class TestRiccati:
             est.covariance = riccati_step(est, op, noise, 2e-4)
         asym = np.max(np.abs(est.covariance - est.covariance.T))
         assert asym < 1e-9
-        assert est.min_covariance_eigenvalue() > -1e-8
-        est.validate()
+        assert np.linalg.eigvalsh(est.covariance).min() > -1e-8
+        est.estimate.validate()
 
     def test_process_noise_feeds_covariance(self):
         n = 4
@@ -396,7 +401,7 @@ class TestKalmanGain:
         grid = Grid(n_nodes=4, ds=0.1)
         noise = NoiseModel.isotropic(grid, meas_var=0.02)
         gain = regularized_gain(np.zeros((48, 48)), noise, 2e-4)
-        assert np.max(np.abs(gain.full)) == 0.0
+        assert np.max(np.abs(gain)) == 0.0
 
     def test_uncoupled_fields_receive_no_innovation(self, rng):
         grid = Grid(n_nodes=4, ds=0.1)
@@ -405,9 +410,89 @@ class TestKalmanGain:
         cov[:12, :12] = np.eye(12) * 0.3  # covariance touches positions only
         gain = regularized_gain(cov, noise, 2e-4)
         innovation = rng.normal(size=12)
-        update = gain.full @ innovation
+        update = gain @ innovation
         assert np.max(np.abs(update[12:])) == 0.0
         assert np.max(np.abs(update[:12])) > 0.0
+
+
+def block_innovation_rates(gain, innovation, n):
+    """Innovation rates as four per-field row-block products: the bit-equality reference."""
+    m = 3 * n
+    return [(gain[i * m : (i + 1) * m] @ innovation).reshape(n, 3) for i in range(4)]
+
+
+def reference_cycle(est, y, wrench, params, grid, noise, cfg, stride):
+    """One filter cycle written out the long way: the bit-equality reference.
+
+    ``filter_update`` supplies the covariance and the gain; the innovation
+    rates, their per-field sum with the plant rates and the prediction step
+    are spelled out here.
+    """
+    covariance, gain, _ = filter_update(
+        est, y, lambda _s, _t: wrench, params, grid, noise, cfg, riccati_stride=stride
+    )
+    innovation = (y - est.estimate.p).reshape(-1)
+    c = StateRates(*block_innovation_rates(gain, innovation, grid.n_nodes))
+
+    def rhs(state, _t):
+        r = dynamics_rhs(state, wrench, params, grid)
+        return StateRates(r.p + c.p, r.rot + c.rot, r.v + c.v, r.omega + c.omega)
+
+    new = step(est.estimate, rhs, cfg, step_index=est.step_count, t=est.step_count * cfg.dt)
+    return EstimatorState(new, covariance, est.step_count + 1, gain)
+
+
+def never_called(_state, _t):
+    raise AssertionError("the wrench was evaluated outside a Riccati refresh")
+
+
+class TestInnovationRates:
+    @settings(deadline=None, max_examples=40)
+    @given(st.integers(2, 30), st.integers(0, 2**32 - 1))
+    def test_batched_product_matches_row_blocks(self, n, seed):
+        rng = np.random.default_rng(seed)
+        grid = Grid(n_nodes=n, ds=0.1)
+        state = make_initial_state(grid, "straight_at_rest")
+        # the (12n, 3n) gain in the column-major layout regularized_gain returns
+        gain = rng.normal(size=(3 * n, 12 * n)).T
+        est = EstimatorState(state, np.zeros((12 * n, 12 * n)), step_count=1, gain=gain)
+        y = state.p + rng.normal(size=(n, 3))
+        noise = NoiseModel.isotropic(grid)
+        cfg = IntegratorConfig(dt=2e-4)
+        # held gain: the wrench is never evaluated
+        _, held, rates = filter_update(est, y, never_called, None, grid, noise, cfg, riccati_stride=2)
+        assert held is gain
+        expected = block_innovation_rates(gain, (y - state.p).reshape(-1), n)
+        for actual, reference in zip(rates, expected):
+            assert np.array_equal(actual, reference)
+
+    def test_degenerate_filter_never_evaluates_the_wrench(self):
+        grid = Grid(n_nodes=5, ds=0.1)
+        est = EstimatorState.initialize(make_initial_state(grid, "axial_spin"), 0.0)
+        noise = NoiseModel.isotropic(grid)
+        _, gain, rates = filter_update(
+            est, est.estimate.p + 1.0, never_called, None, grid, noise, IntegratorConfig(dt=2e-4)
+        )
+        assert gain.shape == (60, 15) and not gain.any()
+        assert not any(np.any(field) for field in rates)
+
+
+class TestEstimatorStateAdvanced:
+    def test_counts_the_step(self):
+        grid = Grid(n_nodes=4, ds=0.1)
+        est = EstimatorState.initialize(make_initial_state(grid, "straight_at_rest"))
+        gain = np.zeros((48, 12))
+        nxt = est.advanced(est.estimate, est.covariance, gain)
+        assert nxt.step_count == est.step_count + 1
+        assert nxt.gain is gain and nxt.covariance is est.covariance
+
+    def test_nan_position_raises(self):
+        grid = Grid(n_nodes=4, ds=0.1)
+        est = EstimatorState.initialize(make_initial_state(grid, "straight_at_rest"))
+        bad = est.estimate.copy()
+        bad.p[2, 1] = np.nan
+        with pytest.raises(NonFiniteState, match="estimator position"):
+            est.advanced(bad, est.covariance, None)
 
 
 class TestEkfStep:
@@ -466,6 +551,27 @@ class TestEkfStep:
                 errors.append(est.estimate.p - plant.p)
         error_var = float(np.mean(np.square(errors)))
         assert error_var < 0.25 * 0.02  # well below the raw measurement variance
+
+    def test_live_noisy_cycle_matches_reference_cycle(self):
+        grid, params, noise, cfg = self.setup_run()
+        rng = np.random.default_rng(7)
+        plant = make_initial_state(grid, "axial_spin")
+        wrench = Wrench(
+            np.tile([0.0, 0.0, -9.81 * params.linear_mass], (grid.n_nodes, 1)),
+            np.zeros((grid.n_nodes, 3)),
+        )
+        est = EstimatorState.initialize(plant, covariance_scale=1e-6)
+        ref = est
+        for _ in range(25):
+            y = plant.p + rng.normal(0.0, np.sqrt(0.02), size=plant.p.shape)
+            est = ekf_step(est, y, wrench, params, grid, noise, cfg, riccati_stride=10)
+            ref = reference_cycle(ref, y, wrench, params, grid, noise, cfg, stride=10)
+            for name in ("p", "rot", "v", "omega"):
+                assert np.array_equal(getattr(est.estimate, name), getattr(ref.estimate, name))
+            assert np.array_equal(est.covariance, ref.covariance)
+            assert np.array_equal(est.gain, ref.gain)
+            assert est.step_count == ref.step_count
+        assert np.max(np.abs(est.gain)) > 0.0  # the innovation path was live
 
     def test_gain_refresh_follows_stride(self):
         grid, params, noise, cfg = self.setup_run()

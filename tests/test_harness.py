@@ -142,6 +142,24 @@ class TestSwingTrajectory:
         for got, want in zip(half, fresh):
             assert np.array_equal(got, want)
 
+    def test_repeated_grid_nodes_compute_nothing_new(self, ref_grid, monkeypatch):
+        traj = make_swing_trajectory(ref_grid)
+        computed = []
+        real = traj._compute
+        monkeypatch.setattr(traj, "_compute", lambda s, t: computed.append(t) or real(s, t))
+        first = traj.evaluate(ref_grid.s, 0.3)
+        assert traj.evaluate(ref_grid.s, 0.3) is first
+        assert computed == [0.3]
+        assert traj._memo[0][1] is ref_grid.s  # kept by reference, not copied
+
+    def test_writable_nodes_are_copied_into_the_memo(self, ref_grid):
+        traj = make_swing_trajectory(ref_grid)
+        s = np.array(ref_grid.s)
+        first = traj.evaluate(s, 0.3)
+        s[-1] = 0.0
+        assert traj.evaluate(s, 0.3) is not first
+        assert traj.evaluate(ref_grid.s, 0.3) is first
+
     def test_memo_points_are_read_only(self, ref_grid):
         point = make_swing_trajectory(ref_grid).evaluate(ref_grid.s, 0.1)
         for arr in point:

@@ -40,6 +40,20 @@ def quarter_circle_state(grid):
     return RodState(p, rot, np.zeros((n, 3)), np.zeros((n, 3))), radius
 
 
+class TestGrid:
+    def test_nodes_are_one_shared_read_only_array(self, ref_grid):
+        s = ref_grid.s
+        assert ref_grid.s is s
+        assert np.array_equal(s, np.arange(ref_grid.n_nodes) * ref_grid.ds)
+        with pytest.raises(ValueError):
+            s[1] = 0.0
+
+    def test_equality_and_hash_ignore_the_cached_nodes(self):
+        a, b = Grid.from_length(0.5, 0.025), Grid.from_length(0.5, 0.025)
+        a.s  # fills the cache on one of the two
+        assert a == b and hash(a) == hash(b)
+
+
 class TestParams:
     def test_stiffness_formulas(self, ref_params):
         e, g = 3.0e7, 1.0e7
