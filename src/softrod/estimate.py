@@ -159,7 +159,11 @@ class LinearizedOperator:
         [ a41  a42      0    a44 ]
 
     ``dense`` is the materialized (12n, 12n) array (three-point stencils keep
-    it narrowly banded).
+    it narrowly banded) and the single source of truth for the operator.
+    ``riccati_step`` relies on its pattern over ``x = [p; eta]`` and
+    ``z = [v; omega]``: the x-x and z-z blocks are 3x3-block diagonal
+    (per-node blocks), the x-z block is diagonal, and only the z-x block
+    (``a31, a32, a41, a42``) is dense.
     """
 
     def __init__(self, dense, n_nodes):
@@ -308,7 +312,7 @@ def regularized_gain(covariance, noise, dt):
     """
     m = 3 * noise.n_nodes
     s = dt * (noise.meas_full() + covariance[:m, :m])
-    return np.linalg.solve(s.T, covariance[:, :m].T).T
+    return covariance[:, :m] @ np.linalg.inv(s)
 
 
 @dataclass
@@ -337,16 +341,84 @@ class EstimatorState:
         return EstimatorState(estimate, covariance, self.step_count + 1, gain)
 
 
+def _diag_blocks(square):
+    """The (k, 3, 3) diagonal blocks of a (3k, 3k) matrix."""
+    k = square.shape[0] // 3
+    idx = np.arange(k)
+    return square.reshape(k, 3, k, 3)[idx, :, idx, :]
+
+
+def _cayley_transition(op, dt):
+    """``y -> Phi @ y`` for ``Phi = 2 M^-1 - I``, ``M = I - dt A/2``; ``Phi`` is never formed.
+
+    Over ``x = [p; eta]`` and ``z = [v; omega]``, ``M = [[D1, C], [E, D2]]``
+    with D1 and D2 3x3-block diagonal, C diagonal and only E dense (the
+    pattern documented on ``LinearizedOperator``; an entry off it raises
+    ``ValueError``), so ``M`` is inverted through the 6n x 6n Schur
+    complement ``S = D2 - E D1^-1 C``.  With ``u = M^-1 y`` and
+    ``F = 2 [-S^-1 E D1^-1, S^-1]``, ``2 u_z = F y`` and
+    ``2 u_x = D1^-1 (2 y_x - C F y)``, and ``Phi y = 2 u - y``: one
+    (6n, 12n) product plus per-node 3x3 products.
+    """
+    a = op.dense
+    if not np.all(np.isfinite(a)):
+        raise CovarianceBlowup("non-finite transition I - dt A/2: NaN/Inf in the operator")
+    k = 6 * op.n_nodes
+    h = 0.5 * dt
+    a_xx, a_xz, a_zx, a_zz = a[:k, :k], a[:k, k:], a[k:, :k], a[k:, k:]
+    blocks_x, diag_xz, blocks_z = _diag_blocks(a_xx), np.diagonal(a_xz), _diag_blocks(a_zz)
+    for name, shape, region, kept in (
+        ("[p; eta] rows x [p; eta] columns", "3x3-block diagonal", a_xx, blocks_x),
+        ("[p; eta] rows x [v; omega] columns", "diagonal", a_xz, diag_xz),
+        ("[v; omega] rows x [v; omega] columns", "3x3-block diagonal", a_zz, blocks_z),
+    ):
+        # a boolean mask counts faster than a strided float view
+        if np.count_nonzero(region != 0.0) != np.count_nonzero(kept):
+            raise ValueError(f"linearized operator block {name} is not {shape}")
+    eye3 = np.eye(3)
+    try:
+        d1_inv = np.linalg.inv(eye3 - h * blocks_x)
+        # w = A_zx D1^-1; E = -h A_zx and C = -h diag(diag_xz) give
+        # E D1^-1 C = h^2 w diag(diag_xz)
+        w = np.matmul(d1_inv.transpose(0, 2, 1), a_zx.T.reshape(-1, 3, k)).reshape(k, k).T
+        s_inv = scipy.linalg.inv(_block_diag(eye3 - h * blocks_z) - (h * h) * (w * diag_xz))
+    except np.linalg.LinAlgError as exc:
+        raise CovarianceBlowup(f"singular transition I - dt A/2: {exc}") from exc
+    except ValueError as exc:
+        raise CovarianceBlowup(f"non-finite transition I - dt A/2: {exc}") from exc
+    f = np.empty((k, 2 * k))
+    np.matmul(s_inv, dt * w, out=f[:, :k])  # -2 S^-1 E D1^-1 = dt S^-1 w
+    np.multiply(s_inv, 2.0, out=f[:, k:])
+    # 2 u_x = D1^-1 (-C) (F y) + 2 D1^-1 y_x, so Phi y has x rows
+    # (D1^-1 diag(h diag_xz)) (F y) + (2 D1^-1 - I) y_x
+    from_z = d1_inv * (h * diag_xz).reshape(-1, 1, 3)
+    from_x = 2.0 * d1_inv - eye3
+
+    def apply(y):
+        cols = y.shape[1]
+        out = np.empty(y.shape)
+        twice_z = out[k:]
+        np.matmul(f, y, out=twice_z)
+        phi_x = out[:k].reshape(-1, 3, cols)
+        np.matmul(from_z, twice_z.reshape(-1, 3, cols), out=phi_x)
+        phi_x += np.matmul(from_x, y[:k].reshape(-1, 3, cols))
+        twice_z -= y[k:]
+        return out
+
+    return apply
+
+
 def riccati_step(est, op, noise, dt, cap=1e6, measurement_dt=None):
     """Advance the covariance by ``dt`` holding the linearization fixed.
 
     The homogeneous flow is propagated by congruence with the Cayley
-    transition ``Phi = (I - dt A/2)^-1 (I + dt A/2)``, which is
-    unconditionally stable on the rod's near-imaginary elastic-wave spectrum
-    (a plain forward step amplifies those modes at any dt near the CFL bound)
-    and preserves semidefiniteness.  ``Phi`` is formed once through the exact
-    identity ``Phi = 2 (I - dt A/2)^-1 - I`` (one inverse) and applied as
-    ``(Phi @ P) @ Phi.T`` (two matrix products).
+    transition ``Phi = (I - dt A/2)^-1 (I + dt A/2) = 2 (I - dt A/2)^-1 - I``,
+    which is unconditionally stable on the rod's near-imaginary elastic-wave
+    spectrum (a plain forward step amplifies those modes at any dt near the
+    CFL bound) and preserves semidefiniteness.  ``I - dt A/2`` is inverted
+    through its 6n x 6n Schur complement, which needs the block pattern
+    documented on ``LinearizedOperator``; ``Phi`` is applied and never
+    formed, as ``Phi @ (Phi @ P).T`` for the symmetric covariance ``P``.
 
     Measurements are per-sample draws with covariance ``noise.meas_cov``
     arriving every ``measurement_dt`` (default: one sample per update), so
@@ -361,24 +433,19 @@ def riccati_step(est, op, noise, dt, cap=1e6, measurement_dt=None):
     CovarianceBlowup
         If any diagonal entry exceeds ``cap`` or is not finite, or if
         ``I - dt A/2`` is singular or not finite.
+    ValueError
+        If ``op.dense`` has a nonzero entry outside the block pattern.
     """
     p = est.covariance
     m = 3 * op.n_nodes
-    try:
-        phi = scipy.linalg.inv(np.eye(p.shape[0]) - (0.5 * dt) * op.dense, overwrite_a=True)
-    except np.linalg.LinAlgError as exc:
-        raise CovarianceBlowup(f"singular transition I - dt A/2: {exc}") from exc
-    except ValueError as exc:
-        raise CovarianceBlowup(f"non-finite transition I - dt A/2: {exc}") from exc
-    phi *= 2.0
-    phi[np.diag_indices_from(phi)] -= 1.0
-    p_pred = (phi @ p) @ phi.T
+    phi = _cayley_transition(op, dt)
+    p_pred = phi(phi(p).T)
     q_full = noise.process_full()
     if q_full is not None:
         p_pred = p_pred + dt * q_full
     r_int = (measurement_dt if measurement_dt is not None else dt) * noise.meas_full()
     s = r_int + dt * p_pred[:m, :m]
-    gain_reg = np.linalg.solve(s.T, p_pred[:, :m].T).T
+    gain_reg = p_pred[:, :m] @ np.linalg.inv(s)
     p_new = p_pred - dt * gain_reg @ p_pred[:m, :]
     p_new = 0.5 * (p_new + p_new.T)
     diag = np.diagonal(p_new)

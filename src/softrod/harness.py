@@ -434,12 +434,12 @@ def run_closed_loop(cfg, out_dir=None):
         return wrench, dynamics_rhs(state, wrench, params, grid, profile=profile, loads=loads)
 
     @contextmanager
-    def naming_the_estimate(tau):
+    def naming(divergence, tau):
         try:
             yield
         except NonFiniteState as exc:
             raise NonFiniteState(
-                f"estimate diverged: its state derivative is non-finite (NaN/Inf) "
+                f"{divergence}: its state derivative is non-finite (NaN/Inf) "
                 f"at stage time t={tau!r}"
             ) from exc
 
@@ -454,12 +454,15 @@ def run_closed_loop(cfg, out_dir=None):
             # poisons the wrench, and the guard then names the source
             if true_feedback:
                 wrench, plant_rates = closed_loop_rates(plant_stage, tau)
-                with naming_the_estimate(tau):
+                with naming("estimate diverged", tau):
                     est_rates = dynamics_rhs(est_stage, wrench, params, grid)
             else:
-                with naming_the_estimate(tau):
+                with naming("estimate diverged", tau):
                     wrench, est_rates = closed_loop_rates(est_stage, tau)
-                plant_rates = dynamics_rhs(plant_stage, wrench, params, grid)
+                # a finite estimate whose wrench drives the plant off must
+                # not read as a time-step problem
+                with naming("plant diverged under estimate-fed control", tau):
+                    plant_rates = dynamics_rhs(plant_stage, wrench, params, grid)
             return plant_rates, with_innovation(est_rates, correction)
 
         return rhs

@@ -385,6 +385,110 @@ class TestRiccati:
         assert np.max(np.abs(actual - expected)) / np.max(np.abs(expected)) <= 1e-10
 
 
+def dense_cayley_riccati(p, op, noise, dt, measurement_dt):
+    """Riccati refresh with the Cayley transition formed densely.
+
+    ``Phi = 2 (I - dt A/2)^-1 - I`` from one (12n, 12n) inverse, applied as
+    ``(Phi P) Phi^T``, followed by the same regularized contraction and
+    symmetrization as ``riccati_step`` (no cap), with the gain from a solve.
+    """
+    dim = p.shape[0]
+    m = 3 * op.n_nodes
+    phi = 2.0 * scipy.linalg.inv(np.eye(dim) - (0.5 * dt) * op.dense) - np.eye(dim)
+    p_pred = (phi @ p) @ phi.T
+    s = measurement_dt * noise.meas_full() + dt * p_pred[:m, :m]
+    gain_reg = np.linalg.solve(s.T, p_pred[:, :m].T).T
+    p_new = p_pred - dt * gain_reg @ p_pred[:m, :]
+    return 0.5 * (p_new + p_new.T)
+
+
+def transition_pattern(n):
+    """Entries of the (12n, 12n) operator that ``riccati_step`` allows to be nonzero.
+
+    Over ``x = [p; eta]`` and ``z = [v; omega]``: x-x and z-z 3x3-block
+    diagonal, x-z diagonal, z-x dense.
+    """
+    k = 6 * n
+    i, j = np.indices((12 * n, 12 * n))
+    x_row, x_col = i < k, j < k
+    same_block = (x_row == x_col) & (i // 3 == j // 3)
+    return same_block | (x_row & ~x_col & (j - i == k)) | (~x_row & x_col)
+
+
+def perturbed_swing_operator(n_nodes, params, rng):
+    """Operator at a perturbed swing state (nonzero omega) under a random wrench."""
+    grid = Grid.from_length(0.5, 0.5 / (n_nodes - 1))
+    ref = make_swing_trajectory(grid).evaluate(grid.s, 0.3)
+    bump = smooth_random_state(grid, rng, amp=0.005)
+    state = RodState(
+        ref.p + bump.p - np.outer(grid.s, [0.0, 0.0, 1.0]),
+        ref.rot @ bump.rot,
+        ref.v + bump.v,
+        ref.omega + bump.omega,
+    )
+    wrench = Wrench(rng.normal(size=(n_nodes, 3)), rng.normal(size=(n_nodes, 3)))
+    return grid, state, linearize_dynamics(state, wrench, params, grid)
+
+
+class TestStructuredTransition:
+    DT, MEAS_DT = 2e-3, 2e-4
+
+    def correlated_prior(self, op, noise):
+        p = 1e-6 * np.eye(12 * op.n_nodes)
+        for _ in range(3):  # correlate the prior the way live refreshes do
+            p = dense_cayley_riccati(p, op, noise, self.DT, self.MEAS_DT)
+        return p
+
+    @pytest.mark.parametrize("n_nodes", [21, 41, 81])
+    def test_matches_dense_transition(self, n_nodes, ref_params, rng):
+        grid, state, op = perturbed_swing_operator(n_nodes, ref_params, rng)
+        assert np.max(np.abs(state.omega)) > 0.0
+        noise = NoiseModel.isotropic(grid, meas_var=0.02)
+        p = self.correlated_prior(op, noise)
+        expected = dense_cayley_riccati(p, op, noise, self.DT, self.MEAS_DT)
+        actual = riccati_step(
+            EstimatorState(state, p), op, noise, self.DT, measurement_dt=self.MEAS_DT
+        )
+        assert np.max(np.abs(actual - expected)) / np.max(np.abs(expected)) <= 1e-12
+
+    @pytest.mark.parametrize("n_nodes", [11, 21])
+    def test_operator_is_zero_off_the_pattern(self, n_nodes, ref_params, rng):
+        _, _, op = perturbed_swing_operator(n_nodes, ref_params, rng)
+        assert not np.any(op.dense[~transition_pattern(n_nodes)])
+        k = 6 * n_nodes
+        for rows in (slice(0, k), slice(k, 2 * k)):
+            for cols in (slice(0, k), slice(k, 2 * k)):
+                assert np.any(op.dense[rows, cols])  # every block of the pattern is live
+
+    def test_entry_off_the_pattern_raises(self):
+        n = 4
+        op = LinearizedOperator.zeros(n)
+        op.dense[0, 5] = 1.0  # p row, p column of the next node
+        state = make_initial_state(Grid(n_nodes=n, ds=0.1), "straight_at_rest")
+        noise = NoiseModel.isotropic(Grid(n_nodes=n, ds=0.1))
+        with pytest.raises(ValueError, match=r"\[p; eta\] rows x \[p; eta\] columns"):
+            riccati_step(EstimatorState(state, np.eye(12 * n)), op, noise, self.DT)
+
+    def test_singular_schur_complement_raises_blowup(self):
+        n = 4
+        op = LinearizedOperator.zeros(n)
+        op.dense[6 * n + 4, 6 * n + 4] = 2.0 / self.DT  # a v row: S has a zero pivot
+        state = make_initial_state(Grid(n_nodes=n, ds=0.1), "straight_at_rest")
+        noise = NoiseModel.isotropic(Grid(n_nodes=n, ds=0.1))
+        with pytest.raises(CovarianceBlowup, match="singular"):
+            riccati_step(EstimatorState(state, np.eye(12 * n)), op, noise, self.DT)
+
+    def test_regularized_gain_matches_solve_form(self, ref_params, rng):
+        grid, _, op = perturbed_swing_operator(21, ref_params, rng)
+        noise = NoiseModel.isotropic(grid, meas_var=0.02)
+        p = self.correlated_prior(op, noise)
+        m = 3 * grid.n_nodes
+        s = self.MEAS_DT * (noise.meas_full() + p[:m, :m])
+        expected = np.linalg.solve(s.T, p[:, :m].T).T
+        actual = regularized_gain(p, noise, self.MEAS_DT)
+        np.testing.assert_allclose(actual, expected, rtol=1e-12, atol=0.0)
+
+
 class TestNoiseModel:
     def test_process_full_matches_per_entry_copy(self, rng):
         grid = Grid(n_nodes=5, ds=0.1)

@@ -261,6 +261,23 @@ class TestClosedLoop:
         with pytest.raises(NonFiniteState, match=r"estimate diverged.* stage time t=0\.0001\b"):
             run_closed_loop(cfg)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_plant_divergence_under_estimate_feedback_names_the_plant(self):
+        # the estimate stays finite while its wrench drives the plant off;
+        # the plant's own guard would blame the time step
+        cfg = RunConfig(
+            duration=0.1,
+            feedback="estimated",
+            seed=0,
+            initial_covariance=1e-8,
+            measurement_variance=1e-4,
+        )
+        with pytest.raises(
+            NonFiniteState, match=r"^plant diverged under estimate-fed control.* stage time t="
+        ) as info:
+            run_closed_loop(cfg)
+        assert "check the time step" in str(info.value.__cause__)
+
     def test_near_pi_rotation_aborts_with_post_mortem(self, tmp_path, monkeypatch):
         fail_second_log_so3(monkeypatch)
         out = tmp_path / "near_pi"

@@ -1,11 +1,16 @@
-"""Every name a package module imports is used in that module.
+"""Import hygiene of the package.
 
-No linter ships with the project; this stdlib-``ast`` check catches imports
-left behind when the code that used them is deleted.  ``__init__.py`` is
-skipped (its imports are the public re-exports), as is ``__future__``.
+Every name a package module imports is used in that module: no linter ships
+with the project, so this stdlib-``ast`` check catches imports left behind
+when the code that used them is deleted.  ``__init__.py`` is skipped (its
+imports are the public re-exports), as is ``__future__``.  And importing the
+package leaves ``scipy.sparse`` unloaded: it adds start-up time and resident
+memory that nothing in the package needs.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -38,3 +43,13 @@ def test_check_flags_an_unused_import():
         (1, "os"),
         (2, "tau"),
     ]
+
+
+def test_import_leaves_scipy_sparse_unloaded():
+    # a fresh interpreter, so no other test's imports count
+    probe = (
+        f"import sys; sys.path.insert(0, {str(PACKAGE.parent)!r}); import softrod; "
+        "print('scipy.sparse' in sys.modules)"
+    )
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
