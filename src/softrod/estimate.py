@@ -20,7 +20,6 @@ from functools import lru_cache
 from typing import NamedTuple, Optional
 
 import numpy as np
-import scipy.linalg
 
 from .discretize import _first_derivative_matrix, step
 from .geometry import hat
@@ -381,11 +380,16 @@ def _cayley_transition(op, dt):
         # w = A_zx D1^-1; E = -h A_zx and C = -h diag(diag_xz) give
         # E D1^-1 C = h^2 w diag(diag_xz)
         w = np.matmul(d1_inv.transpose(0, 2, 1), a_zx.T.reshape(-1, 3, k)).reshape(k, k).T
-        s_inv = scipy.linalg.inv(_block_diag(eye3 - h * blocks_z) - (h * h) * (w * diag_xz))
+        schur = _block_diag(eye3 - h * blocks_z) - (h * h) * (w * diag_xz)
+        # finite operator entries can still overflow S, and np.linalg.inv
+        # does not check its input
+        if not np.all(np.isfinite(schur)):
+            raise CovarianceBlowup(
+                "non-finite transition I - dt A/2: array must not contain infs or NaNs"
+            )
+        s_inv = np.linalg.inv(schur)
     except np.linalg.LinAlgError as exc:
         raise CovarianceBlowup(f"singular transition I - dt A/2: {exc}") from exc
-    except ValueError as exc:
-        raise CovarianceBlowup(f"non-finite transition I - dt A/2: {exc}") from exc
     f = np.empty((k, 2 * k))
     np.matmul(s_inv, dt * w, out=f[:, :k])  # -2 S^-1 E D1^-1 = dt S^-1 w
     np.multiply(s_inv, 2.0, out=f[:, k:])

@@ -100,10 +100,15 @@ class RunConfig:
             raise ValueError(f"feedback must be one of {FEEDBACK_MODES}")
         if self.scenario not in SCENARIOS:
             raise ValueError(f"scenario must be one of {SCENARIOS}")
-        if self.measurement_variance <= 0.0:
+        # written as `not x > 0` so that NaN fails too
+        if not self.measurement_variance > 0.0:
             raise ValueError("measurement_variance must be positive")
-        if self.initial_covariance < 0.0:
+        if not self.initial_covariance >= 0.0:
             raise ValueError("initial_covariance must be nonnegative")
+        if not self.process_variance >= 0.0:
+            raise ValueError("process_variance must be nonnegative")
+        if not self.covariance_cap > 0.0:
+            raise ValueError("covariance_cap must be positive")
         for name in ("log_every", "snapshot_every", "riccati_stride"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")

@@ -478,6 +478,18 @@ class TestStructuredTransition:
         with pytest.raises(CovarianceBlowup, match="singular"):
             riccati_step(EstimatorState(state, np.eye(12 * n)), op, noise, self.DT)
 
+    def test_overflowing_schur_complement_raises_blowup(self):
+        n = 4
+        op = LinearizedOperator.zeros(n)
+        # finite and on the pattern (a v row's p column and back), but the
+        # product E D1^-1 C in S = D2 - E D1^-1 C overflows
+        op.dense[6 * n + 4, 4] = op.dense[4, 6 * n + 4] = 1e300
+        state = make_initial_state(Grid(n_nodes=n, ds=0.1), "straight_at_rest")
+        noise = NoiseModel.isotropic(Grid(n_nodes=n, ds=0.1))
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            with pytest.raises(CovarianceBlowup, match="non-finite transition .* infs or NaNs"):
+                riccati_step(EstimatorState(state, np.eye(12 * n)), op, noise, self.DT)
+
     def test_regularized_gain_matches_solve_form(self, ref_params, rng):
         grid, _, op = perturbed_swing_operator(21, ref_params, rng)
         noise = NoiseModel.isotropic(grid, meas_var=0.02)

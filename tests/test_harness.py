@@ -76,6 +76,25 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             RunConfig(youngs_modulus=-2.0)
 
+    # each of these used to be accepted and then misread: a negative process
+    # variance as zero process noise, a zero cap as a diverged filter on every
+    # live refresh, a NaN variance as a diverged filter or a failed eigensolve
+    @pytest.mark.parametrize(
+        ("field", "value"),
+        [
+            ("process_variance", -1e-6),
+            ("process_variance", float("nan")),
+            ("covariance_cap", 0.0),
+            ("covariance_cap", -1.0),
+            ("covariance_cap", float("nan")),
+            ("measurement_variance", float("nan")),
+            ("initial_covariance", float("nan")),
+        ],
+    )
+    def test_filter_values_are_validated(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be"):
+            RunConfig(**{field: value})
+
     def test_config_file_round_trip(self, tmp_path):
         cfg = quick_config(seed=11, duration=1.25, feedback="estimated")
         path = tmp_path / "run.cfg"
@@ -378,6 +397,15 @@ class TestCli:
         cfg_path.write_text("duration=0.02\nseed=4\ninitial_covariance=0.0\n")
         rc = cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
         assert rc == 0
+
+    @pytest.mark.parametrize("line", ["process_variance=-1e-6", "covariance_cap=0.0"])
+    def test_bad_filter_config_exits_2_before_running(self, tmp_path, capsys, line):
+        cfg_path = tmp_path / "bad.cfg"
+        cfg_path.write_text(f"duration=0.02\n{line}\n")
+        rc = cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert f"{line.split('=')[0]} must be" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_unknown_config_key_exits_nonzero(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.cfg"

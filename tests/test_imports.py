@@ -3,19 +3,24 @@
 Every name a package module imports is used in that module: no linter ships
 with the project, so this stdlib-``ast`` check catches imports left behind
 when the code that used them is deleted.  ``__init__.py`` is skipped (its
-imports are the public re-exports), as is ``__future__``.  And importing the
-package leaves ``scipy.sparse`` unloaded: it adds start-up time and resident
-memory that nothing in the package needs.
+imports are the public re-exports), as is ``__future__``.  The third-party
+modules the package imports are exactly its declared runtime dependencies,
+and neither importing the package nor running a live covariance refresh
+loads ``scipy``: it would add start-up time and resident memory that nothing
+in the package needs, and a check of the import alone would miss an import
+deferred into the refresh.
 """
 
 import ast
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "softrod"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "softrod"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -33,6 +38,17 @@ def unused_imports(source):
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
+def third_party_imports(source):
+    """Top-level names of the absolute, non-stdlib imports anywhere in ``source``."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names - set(sys.stdlib_module_names)
+
+
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text()) == []
@@ -45,11 +61,53 @@ def test_check_flags_an_unused_import():
     ]
 
 
-def test_import_leaves_scipy_sparse_unloaded():
-    # a fresh interpreter, so no other test's imports count
-    probe = (
-        f"import sys; sys.path.insert(0, {str(PACKAGE.parent)!r}); import softrod; "
-        "print('scipy.sparse' in sys.modules)"
+def test_third_party_imports_match_declared_dependencies():
+    # the declared distribution names double as their import names
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", req).group() for req in project["dependencies"]}
+    imported = set().union(*(third_party_imports(p.read_text()) for p in PACKAGE.glob("*.py")))
+    assert imported == declared
+
+
+def test_third_party_check_sees_deferred_and_skips_relative_imports():
+    source = (
+        "from __future__ import annotations\nimport os\nimport numpy as np\n"
+        "from . import rod\ndef f():\n    import scipy.linalg\n"
     )
-    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert third_party_imports(source) == {"numpy", "scipy"}
+
+
+LIVE_REFRESH_PROBE = """
+import sys
+sys.path.insert(0, {src!r})
+import softrod as sr
+
+grid = sr.Grid.from_length(0.5, 0.125)
+params = sr.RodParams(
+    length=0.5, radius=0.02, density=2000.0, youngs_modulus=3.0e7, shear_modulus=1.0e7
+)
+plant = sr.make_initial_state(grid, "axial_spin")
+est = sr.EstimatorState.initialize(plant, covariance_scale=1e-6)
+after = sr.ekf_step(
+    est,
+    plant.p.copy(),
+    sr.Wrench.zero(grid.n_nodes),
+    params,
+    grid,
+    sr.NoiseModel.isotropic(grid, meas_var=0.02),
+    sr.IntegratorConfig(dt=2e-4),
+    riccati_stride=1,
+)
+assert grid.n_nodes == 5
+assert after.gain.any() and (after.covariance != est.covariance).any(), "no live refresh ran"
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def test_import_and_live_refresh_leave_scipy_unloaded():
+    # a fresh interpreter, so no other test's imports count
+    probe = LIVE_REFRESH_PROBE.format(src=str(PACKAGE.parent))
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
