@@ -55,7 +55,7 @@ class GainProfile:
         for name in ("kp", "kv", "kr", "kw", "c"):
             arr = np.asarray(getattr(self, name), dtype=float)
             object.__setattr__(self, name, arr)
-            if np.any(arr <= 0.0):
+            if not np.all(arr > 0.0):
                 raise ValueError(f"gain {name} must be strictly positive at every node")
         bound = self.c_upper_bound(self.kr, self.kw)
         if np.any(self.c >= bound):

@@ -53,7 +53,7 @@ class IntegratorConfig:
     reorthonormalize_every: int = 100
 
     def __post_init__(self):
-        if self.dt <= 0.0:
+        if not self.dt > 0.0:
             raise ValueError("dt must be positive")
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {SCHEMES}")

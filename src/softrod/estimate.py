@@ -20,6 +20,7 @@ from functools import lru_cache
 from typing import NamedTuple, Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .discretize import _first_derivative_matrix, step
 from .geometry import hat
@@ -162,7 +163,8 @@ class LinearizedOperator:
     ``riccati_step`` relies on its pattern over ``x = [p; eta]`` and
     ``z = [v; omega]``: the x-x and z-z blocks are 3x3-block diagonal
     (per-node blocks), the x-z block is diagonal, and only the z-x block
-    (``a31, a32, a41, a42``) is dense.
+    (``a31, a32, a41, a42``) is unstructured; its node reach sets the run
+    length of the refresh's block-tridiagonal factorization.
     """
 
     def __init__(self, dense, n_nodes):
@@ -347,22 +349,78 @@ def _diag_blocks(square):
     return square.reshape(k, 3, k, 3)[idx, :, idx, :]
 
 
+def _node_reach(a_zx, n):
+    """Largest node distance between a z row and an x column that ``a_zx`` couples.
+
+    Counts the node diagonals outward from the main one until they hold
+    every nonzero, so a banded block is read over its band only.
+    """
+    left = np.count_nonzero(a_zx != 0.0)
+    nodes = a_zx.reshape(2, n, 3, 2, n, 3)
+    reach = 0
+    while True:
+        left -= np.count_nonzero(np.diagonal(nodes, reach, 1, 4))
+        if reach:
+            left -= np.count_nonzero(np.diagonal(nodes, -reach, 1, 4))
+        if not left:
+            return reach
+        reach += 1
+
+
+@lru_cache(maxsize=16)
+def _runs(n_nodes, group):
+    """Node-major slots of a 6n field pair, in runs of ``group`` nodes.
+
+    Slot ``6 j + 3 f + c`` of the padded node-major order holds node ``j``,
+    field ``f`` and axis ``c``; the last run is padded past node n - 1.
+    Returns the field-major index of every slot of each run, shape
+    ``(runs, 6 group)``; the same for the runs ``d - 1`` off, shape
+    ``(3, runs, 6 group)``, with pad slots and absent runs at index 0; the
+    mask of real (row, column) slot pairs of that band; and the mask of
+    real slots.
+    """
+    runs = -(-n_nodes // group)
+    slot = np.arange(6 * group * (runs + 2))
+    node, field, axis = slot // 6 - group, slot // 3 % 2, slot % 3
+    real = ((node >= 0) & (node < n_nodes)).reshape(runs + 2, -1)
+    index = np.where(real.ravel(), 3 * n_nodes * field + 3 * node + axis, 0)
+    index = index.reshape(runs + 2, -1)
+    near = np.stack([index[d : d + runs] for d in range(3)])
+    near_real = np.stack([real[d : d + runs] for d in range(3)])
+    live = real[1:-1, :, None] & near_real[:, :, None, :]
+    return index[1:-1], near, live, real[1:-1]
+
+
+def _singular(first, last):
+    return CovarianceBlowup(f"singular transition I - dt A/2 at nodes {first}–{last}")
+
+
 def _cayley_transition(op, dt):
     """``y -> Phi @ y`` for ``Phi = 2 M^-1 - I``, ``M = I - dt A/2``; ``Phi`` is never formed.
 
     Over ``x = [p; eta]`` and ``z = [v; omega]``, ``M = [[D1, C], [E, D2]]``
-    with D1 and D2 3x3-block diagonal, C diagonal and only E dense (the
-    pattern documented on ``LinearizedOperator``; an entry off it raises
-    ``ValueError``), so ``M`` is inverted through the 6n x 6n Schur
-    complement ``S = D2 - E D1^-1 C``.  With ``u = M^-1 y`` and
-    ``F = 2 [-S^-1 E D1^-1, S^-1]``, ``2 u_z = F y`` and
-    ``2 u_x = D1^-1 (2 y_x - C F y)``, and ``Phi y = 2 u - y``: one
-    (6n, 12n) product plus per-node 3x3 products.
+    with D1 and D2 3x3-block diagonal, C diagonal and only E unstructured
+    (the pattern documented on ``LinearizedOperator``; an entry off it
+    raises ``ValueError``), so ``M`` is inverted through the 6n x 6n Schur
+    complement ``S = D2 - E D1^-1 C``.  With ``u = M^-1 y``,
+    ``2 u_z = S^-1 r`` for ``r = 2 y_z + dt w y_x`` and ``w = A_zx D1^-1``,
+    ``2 u_x = D1^-1 (2 y_x - C 2 u_z)``, and ``Phi y = 2 u - y``.
+
+    E reaches ``g`` nodes (read from the operator), so with the z unknowns
+    node-major (per node ``v_j`` then ``omega_j``) in runs of ``g`` nodes,
+    ``S`` and ``w`` are block tridiagonal with 6g x 6g blocks.  ``S`` is
+    factored by one forward sweep that keeps each pivot block's inverse
+    (pivoting only within a block).  Each apply is one batched product of
+    every run's three ``w`` blocks with a window of ``y_x``, a forward and a
+    backward sweep over the runs, and per-node 3x3 products for the x rows.
+    A reach of n - 1 makes one run: the dense inverse of ``S``.  A singular
+    pivot block raises ``CovarianceBlowup`` naming its nodes.
     """
     a = op.dense
     if not np.all(np.isfinite(a)):
         raise CovarianceBlowup("non-finite transition I - dt A/2: NaN/Inf in the operator")
-    k = 6 * op.n_nodes
+    n = op.n_nodes
+    k = 6 * n
     h = 0.5 * dt
     a_xx, a_xz, a_zx, a_zz = a[:k, :k], a[:k, k:], a[k:, :k], a[k:, k:]
     blocks_x, diag_xz, blocks_z = _diag_blocks(a_xx), np.diagonal(a_xz), _diag_blocks(a_zz)
@@ -374,39 +432,82 @@ def _cayley_transition(op, dt):
         # a boolean mask counts faster than a strided float view
         if np.count_nonzero(region != 0.0) != np.count_nonzero(kept):
             raise ValueError(f"linearized operator block {name} is not {shape}")
+    reach = _node_reach(a_zx, n)
+    group = max(reach, 1) if reach < n - 1 else n
+    z_slots, x_slots, live, real = _runs(n, group)
+    runs, width = z_slots.shape
     eye3 = np.eye(3)
+    d1 = eye3 - h * blocks_x
     try:
-        d1_inv = np.linalg.inv(eye3 - h * blocks_x)
-        # w = A_zx D1^-1; E = -h A_zx and C = -h diag(diag_xz) give
-        # E D1^-1 C = h^2 w diag(diag_xz)
-        w = np.matmul(d1_inv.transpose(0, 2, 1), a_zx.T.reshape(-1, 3, k)).reshape(k, k).T
-        schur = _block_diag(eye3 - h * blocks_z) - (h * h) * (w * diag_xz)
-        # finite operator entries can still overflow S, and np.linalg.inv
-        # does not check its input
-        if not np.all(np.isfinite(schur)):
-            raise CovarianceBlowup(
-                "non-finite transition I - dt A/2: array must not contain infs or NaNs"
-            )
-        s_inv = np.linalg.inv(schur)
+        d1_inv = np.linalg.inv(d1)
     except np.linalg.LinAlgError as exc:
-        raise CovarianceBlowup(f"singular transition I - dt A/2: {exc}") from exc
-    f = np.empty((k, 2 * k))
-    np.matmul(s_inv, dt * w, out=f[:, :k])  # -2 S^-1 E D1^-1 = dt S^-1 w
-    np.multiply(s_inv, 2.0, out=f[:, k:])
-    # 2 u_x = D1^-1 (-C) (F y) + 2 D1^-1 y_x, so Phi y has x rows
-    # (D1^-1 diag(h diag_xz)) (F y) + (2 D1^-1 - I) y_x
+        node = np.flatnonzero(np.linalg.det(d1) == 0.0)[0] % n
+        raise _singular(node, node) from exc
+    # the band of w = A_zx D1^-1: the run d - 1 off the diagonal is w[d]
+    a_band = a[k + z_slots[:, :, None], x_slots[:, :, None, :]] * live
+    w = np.einsum(
+        "duiqc,duqce->duiqe",
+        a_band.reshape(3, runs, width, 2 * group, 3),
+        d1_inv[x_slots[:, :, ::3] // 3],
+        optimize=True,
+    ).reshape(a_band.shape)
+    # E = -h A_zx and C = -h diag(diag_xz) give E D1^-1 C = h^2 w diag(diag_xz)
+    schur = w * diag_xz[x_slots][:, :, None, :]
+    schur *= -h * h
+    own = np.arange(2 * group)
+    schur[1].reshape(runs, 2 * group, 3, 2 * group, 3)[:, own, :, own, :] += (
+        eye3 - h * (blocks_z[z_slots[:, ::3] // 3] * real[:, ::3, None, None])
+    ).transpose(1, 0, 2, 3)  # padded slots get identity rows
+    # finite operator entries can still overflow S, and np.linalg.inv does
+    # not check its input
+    if not np.all(np.isfinite(schur)):
+        raise CovarianceBlowup(
+            "non-finite transition I - dt A/2: array must not contain infs or NaNs"
+        )
+    # block LU of S: pivot_inv[i] is the inverse of run i's pivot block,
+    # lower[i] the multiplier of run i - 1 and upper[i] = pivot_inv[i] S[i, i + 1]
+    pivot_inv = np.empty((runs, width, width))
+    lower = np.empty((runs, width, width))
+    pivot = schur[1, 0]
+    for i in range(runs):
+        if i:
+            lower[i] = schur[0, i] @ pivot_inv[i - 1]
+            pivot = schur[1, i] - lower[i] @ schur[2, i - 1]
+        try:
+            pivot_inv[i] = np.linalg.inv(pivot)
+        except np.linalg.LinAlgError as exc:
+            raise _singular(i * group, min(i * group + group, n) - 1) from exc
+    upper = pivot_inv[:-1] @ schur[2, :-1]
+    pivot_inv *= 2.0  # the sweeps solve S (u_z) = r / 2 and return 2 u_z
+    # each run's [h w_(i, i-1), h w_(i, i), h w_(i, i+1)] against a window of y_x
+    w_window = (h * w).transpose(1, 2, 0, 3).reshape(runs, width, 3 * width)
+    # 2 u_x = D1^-1 (-C) (2 u_z) + 2 D1^-1 y_x, so Phi y has x rows
+    # (D1^-1 diag(h diag_xz)) (2 u_z) + (2 D1^-1 - I) y_x, taken node-major
     from_z = d1_inv * (h * diag_xz).reshape(-1, 1, 3)
     from_x = 2.0 * d1_inv - eye3
+    from_z, from_x = (m.reshape(2, n, 3, 3).transpose(1, 0, 2, 3) for m in (from_z, from_x))
 
     def apply(y):
         cols = y.shape[1]
         out = np.empty(y.shape)
-        twice_z = out[k:]
-        np.matmul(f, y, out=twice_z)
-        phi_x = out[:k].reshape(-1, 3, cols)
-        np.matmul(from_z, twice_z.reshape(-1, 3, cols), out=phi_x)
-        phi_x += np.matmul(from_x, y[:k].reshape(-1, 3, cols))
-        twice_z -= y[k:]
+        # y_x node-major with an empty run on either side, three runs per window
+        y_x = np.zeros(((runs + 2) * group, 2, 3, cols))
+        x_nodes = y_x[group : group + n]
+        x_nodes[...] = y[:k].reshape(2, n, 3, cols).transpose(1, 0, 2, 3)
+        windows = sliding_window_view(y_x.reshape(-1, cols), 3 * width, axis=0)[::width]
+        r = w_window @ windows.transpose(0, 2, 1)
+        y_z = y[k:].reshape(2, n, 3, cols).transpose(1, 0, 2, 3)
+        r.reshape(-1, 2, 3, cols)[:n] += y_z
+        for i in range(1, runs):
+            r[i] -= lower[i] @ r[i - 1]
+        r = pivot_inv @ r
+        for i in range(runs - 2, -1, -1):
+            r[i] -= upper[i] @ r[i + 1]
+        twice_z = r.reshape(-1, 2, 3, cols)[:n]
+        phi = out.reshape(4, n, 3, cols).transpose(1, 0, 2, 3)  # field-major rows, per node
+        np.subtract(twice_z, y_z, out=phi[:, 2:])
+        np.matmul(from_z, twice_z, out=phi[:, :2])
+        phi[:, :2] += from_x @ x_nodes
         return out
 
     return apply
@@ -420,9 +521,10 @@ def riccati_step(est, op, noise, dt, cap=1e6, measurement_dt=None):
     which is unconditionally stable on the rod's near-imaginary elastic-wave
     spectrum (a plain forward step amplifies those modes at any dt near the
     CFL bound) and preserves semidefiniteness.  ``I - dt A/2`` is inverted
-    through its 6n x 6n Schur complement, which needs the block pattern
-    documented on ``LinearizedOperator``; ``Phi`` is applied and never
-    formed, as ``Phi @ (Phi @ P).T`` for the symmetric covariance ``P``.
+    through its 6n x 6n Schur complement, factored as a block-tridiagonal
+    band, which needs the block pattern documented on ``LinearizedOperator``;
+    ``Phi`` is applied and never formed, as ``Phi @ (Phi @ P).T`` for the
+    symmetric covariance ``P``.
 
     Measurements are per-sample draws with covariance ``noise.meas_cov``
     arriving every ``measurement_dt`` (default: one sample per update), so
@@ -436,7 +538,8 @@ def riccati_step(est, op, noise, dt, cap=1e6, measurement_dt=None):
     ------
     CovarianceBlowup
         If any diagonal entry exceeds ``cap`` or is not finite, or if
-        ``I - dt A/2`` is singular or not finite.
+        ``I - dt A/2`` is singular (the message names the nodes) or not
+        finite.
     ValueError
         If ``op.dense`` has a nonzero entry outside the block pattern.
     """

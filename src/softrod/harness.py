@@ -94,13 +94,13 @@ class RunConfig:
     out_dir: str = "out"
 
     def __post_init__(self):
-        if self.duration < 0.0:
+        # written as `not x > 0` so that NaN fails too
+        if not self.duration >= 0.0:
             raise ValueError("duration must be nonnegative")
         if self.feedback not in FEEDBACK_MODES:
             raise ValueError(f"feedback must be one of {FEEDBACK_MODES}")
         if self.scenario not in SCENARIOS:
             raise ValueError(f"scenario must be one of {SCENARIOS}")
-        # written as `not x > 0` so that NaN fails too
         if not self.measurement_variance > 0.0:
             raise ValueError("measurement_variance must be positive")
         if not self.initial_covariance >= 0.0:
@@ -109,11 +109,16 @@ class RunConfig:
             raise ValueError("process_variance must be nonnegative")
         if not self.covariance_cap > 0.0:
             raise ValueError("covariance_cap must be positive")
+        if not np.isfinite(self.gravity):
+            raise ValueError("gravity must be finite")
         for name in ("log_every", "snapshot_every", "riccati_stride"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         self.rod_params()  # validates the physical constants
         self.integrator()  # validates dt / scheme / reorthonormalization
+        grid = self.grid()  # validates ds
+        self.gains(grid)  # validates the gains and their coupling bound
+        self.trajectory(grid)  # validates amplitude and frequency
 
     def rod_params(self):
         return RodParams(
@@ -220,10 +225,12 @@ class SwingTrajectory(DesiredTrajectory):
     def __init__(self, amplitude, frequency, phase, length):
         if not 0.0 <= amplitude < np.pi / 2.0:
             raise ValueError("amplitude must lie in [0, pi/2)")
-        if frequency <= 0.0:
+        if not frequency > 0.0:
             raise ValueError("frequency must be positive")
-        if length <= 0.0:
+        if not length > 0.0:
             raise ValueError("length must be positive")
+        if not np.isfinite(phase):
+            raise ValueError("phase must be finite")
         self.amplitude = float(amplitude)
         self.frequency = float(frequency)
         self.phase = float(phase)

@@ -36,11 +36,14 @@ class Grid:
     def __post_init__(self):
         if self.n_nodes < 2:
             raise ValueError("grid needs at least 2 nodes")
-        if self.ds <= 0.0:
+        if not self.ds > 0.0:
             raise ValueError("ds must be positive")
 
     @classmethod
     def from_length(cls, length, ds):
+        for name, value in (("length", length), ("ds", ds)):
+            if not value > 0.0:  # NaN fails too
+                raise ValueError(f"{name} must be positive")
         n = int(round(length / ds)) + 1
         if abs(ds * (n - 1) - length) > 1e-12:
             raise ValueError(f"ds={ds} does not evenly divide length={length}")
@@ -79,11 +82,11 @@ class RodParams:
 
     def __post_init__(self):
         for name in ("length", "radius", "density", "youngs_modulus", "shear_modulus"):
-            if getattr(self, name) <= 0.0:
+            if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be strictly positive")
         if self.sigma is None:
             object.__setattr__(self, "sigma", float(np.pi * self.radius**2))
-        if self.sigma <= 0.0:
+        if not self.sigma > 0.0:
             raise ValueError("sigma must be strictly positive")
         if self.inertia is None:
             second = np.pi * self.radius**4 / 4.0

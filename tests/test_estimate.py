@@ -490,6 +490,48 @@ class TestStructuredTransition:
             with pytest.raises(CovarianceBlowup, match="non-finite transition .* infs or NaNs"):
                 riccati_step(EstimatorState(state, np.eye(12 * n)), op, noise, self.DT)
 
+    def assert_matches_dense(self, grid, state, op):
+        noise = NoiseModel.isotropic(grid, meas_var=0.02)
+        p = self.correlated_prior(op, noise)
+        expected = dense_cayley_riccati(p, op, noise, self.DT, self.MEAS_DT)
+        actual = riccati_step(
+            EstimatorState(state, p), op, noise, self.DT, measurement_dt=self.MEAS_DT
+        )
+        assert np.max(np.abs(actual - expected)) / np.max(np.abs(expected)) <= 1e-12
+
+    # the operator reaches 3 nodes, so these leave the last run of 3 padded
+    @pytest.mark.parametrize("n_nodes", [20, 22])
+    def test_padded_last_run_matches_dense_transition(self, n_nodes, ref_params, rng):
+        grid, state, op = perturbed_swing_operator(n_nodes, ref_params, rng)
+        assert n_nodes % 3
+        self.assert_matches_dense(grid, state, op)
+
+    # a v row against a p column 7 nodes away makes runs of 7 nodes; at n = 9
+    # the last run is padded and the row is the clamped node's, here made live
+    @pytest.mark.parametrize(("n_nodes", "row_node", "col_node"), [(21, 10, 3), (9, 0, 7)])
+    def test_reach_is_read_from_the_operator(self, n_nodes, row_node, col_node, ref_params, rng):
+        grid, state, op = perturbed_swing_operator(n_nodes, ref_params, rng)
+        k = 6 * n_nodes
+        op.dense[k + 3 * row_node, 3 * col_node + 1] = 0.1 * np.max(np.abs(op.dense[k:, :k]))
+        op.dense[3 * row_node, k + 3 * row_node] = 1.0  # p rate from v; 1 already off node 0
+        self.assert_matches_dense(grid, state, op)
+
+    def test_dense_coupling_is_one_run(self, ref_params, rng):
+        grid, state, op = perturbed_swing_operator(11, ref_params, rng)
+        k = 6 * 11
+        op.dense[k:, :k] += 1e4 * rng.normal(size=(k, k))
+        self.assert_matches_dense(grid, state, op)
+
+    def test_singular_pivot_names_its_run(self):
+        n = 8
+        op = LinearizedOperator.zeros(n)
+        op.dense[6 * n + 3 * 3, 3 * 1] = 1.0  # couples nodes 3 and 1: runs of 2 nodes
+        op.dense[6 * n + 3 * 5 + 1, 6 * n + 3 * 5 + 1] = 2.0 / self.DT  # zero pivot, node 5
+        state = make_initial_state(Grid(n_nodes=n, ds=0.1), "straight_at_rest")
+        noise = NoiseModel.isotropic(Grid(n_nodes=n, ds=0.1))
+        with pytest.raises(CovarianceBlowup, match="singular transition I - dt A/2 at nodes 4–5"):
+            riccati_step(EstimatorState(state, np.eye(12 * n)), op, noise, self.DT)
+
     def test_regularized_gain_matches_solve_form(self, ref_params, rng):
         grid, _, op = perturbed_swing_operator(21, ref_params, rng)
         noise = NoiseModel.isotropic(grid, meas_var=0.02)

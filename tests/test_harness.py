@@ -95,6 +95,33 @@ class TestRunConfig:
         with pytest.raises(ValueError, match=f"{field} must be"):
             RunConfig(**{field: value})
 
+    # NaN passes every `x <= 0` test; each of these used to end mid-run as
+    # a NaN-to-int conversion, a blown-up derivative or a diverged filter
+    @pytest.mark.parametrize(
+        ("field", "named"),
+        [
+            ("duration", "duration"),
+            ("dt", "dt"),
+            ("ds", "ds"),
+            ("length", "length"),
+            ("radius", "radius"),
+            ("density", "density"),
+            ("youngs_modulus", "youngs_modulus"),
+            ("shear_modulus", "shear_modulus"),
+            ("kp", "gain kp"),
+            ("kv", "gain kv"),
+            ("kr", "gain kr"),
+            ("kw", "gain kw"),
+            ("coupling_c", "gain c"),
+            ("frequency", "frequency"),
+            ("phase", "phase"),
+            ("gravity", "gravity"),
+        ],
+    )
+    def test_nan_is_rejected_naming_the_field(self, field, named):
+        with pytest.raises(ValueError, match=f"^{named} must be"):
+            RunConfig(**{field: float("nan")})
+
     def test_config_file_round_trip(self, tmp_path):
         cfg = quick_config(seed=11, duration=1.25, feedback="estimated")
         path = tmp_path / "run.cfg"
@@ -398,7 +425,9 @@ class TestCli:
         rc = cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
         assert rc == 0
 
-    @pytest.mark.parametrize("line", ["process_variance=-1e-6", "covariance_cap=0.0"])
+    @pytest.mark.parametrize(
+        "line", ["process_variance=-1e-6", "covariance_cap=0.0", "duration=nan", "dt=nan"]
+    )
     def test_bad_filter_config_exits_2_before_running(self, tmp_path, capsys, line):
         cfg_path = tmp_path / "bad.cfg"
         cfg_path.write_text(f"duration=0.02\n{line}\n")
