@@ -51,6 +51,13 @@ def _block_diag(blocks):
     return out.reshape(3 * n, 3 * n)
 
 
+def _diag_blocks(square):
+    """The (k, 3, 3) diagonal blocks of a (3k, 3k) matrix."""
+    k = square.shape[0] // 3
+    idx = np.arange(k)
+    return square.reshape(k, 3, k, 3)[idx, :, idx, :]
+
+
 def _bd_mul(blocks, m):
     """Left-multiply by a block-diagonal matrix: ``blockdiag(blocks) @ m``."""
     n = blocks.shape[0]
@@ -148,8 +155,8 @@ def strain_perturbation(state, grid):
 # linearized dynamics operator
 
 
-class LinearizedOperator:
-    """Jacobian of the discretized rod dynamics at an estimate.
+class LinearizedOperator(NamedTuple):
+    """Jacobian of the discretized rod dynamics at an estimate, held as its blocks.
 
     Block layout over ``[p; eta; v; omega]``::
 
@@ -158,22 +165,65 @@ class LinearizedOperator:
         [ a31  a32      0    0   ]
         [ a41  a42      0    a44 ]
 
-    ``dense`` is the materialized (12n, 12n) array (three-point stencils keep
-    it narrowly banded) and the single source of truth for the operator.
-    ``riccati_step`` relies on its pattern over ``x = [p; eta]`` and
-    ``z = [v; omega]``: the x-x and z-z blocks are 3x3-block diagonal
-    (per-node blocks), the x-z block is diagonal, and only the z-x block
-    (``a31, a32, a41, a42``) is unstructured; its node reach sets the run
-    length of the refresh's block-tridiagonal factorization.
+    Over ``x = [p; eta]`` and ``z = [v; omega]`` the x-x and z-z blocks are
+    3x3-block diagonal, kept as their (2n, 3, 3) per-node blocks ``xx`` and
+    ``zz`` (p or v rows of node j at j, eta or omega rows at n + j); the x-z
+    block is diagonal, kept as its (6n,) diagonal ``xz``; and only the z-x
+    block ``zx`` (``a31, a32, a41, a42``) is a full (6n, 6n) array.  Its node
+    reach sets the run length of the refresh's block-tridiagonal
+    factorization.  ``dense`` assembles the (12n, 12n) matrix on demand and
+    ``from_dense`` splits one back into blocks.
     """
 
-    def __init__(self, dense, n_nodes):
-        self.dense = dense
-        self.n_nodes = n_nodes
+    xx: np.ndarray
+    zz: np.ndarray
+    xz: np.ndarray
+    zx: np.ndarray
+
+    @property
+    def n_nodes(self):
+        return self.xx.shape[0] // 2
+
+    @property
+    def dense(self):
+        """The (12n, 12n) operator, assembled from the blocks (a read-only copy)."""
+        k = 6 * self.n_nodes
+        out = np.zeros((2 * k, 2 * k))
+        out[:k, :k] = _block_diag(self.xx)
+        out[k:, k:] = _block_diag(self.zz)
+        idx = np.arange(k)
+        out[idx, k + idx] = self.xz
+        out[k:, :k] = self.zx
+        out.flags.writeable = False
+        return out
+
+    @classmethod
+    def from_dense(cls, dense, n_nodes):
+        """Split a (12n, 12n) operator into its blocks.
+
+        Raises ``ValueError`` naming the block if an entry lies off the
+        pattern documented on the class.
+        """
+        k = 6 * n_nodes
+        if np.shape(dense) != (2 * k, 2 * k):
+            raise ValueError(f"dense operator must have shape ({2 * k}, {2 * k})")
+        a_xx, a_xz, a_zz = dense[:k, :k], dense[:k, k:], dense[k:, k:]
+        xz = np.diagonal(a_xz).copy()
+        op = cls(_diag_blocks(a_xx), _diag_blocks(a_zz), xz, dense[k:, :k].copy())
+        for name, shape, region, kept in (
+            ("[p; eta] rows x [p; eta] columns", "3x3-block diagonal", a_xx, op.xx),
+            ("[p; eta] rows x [v; omega] columns", "diagonal", a_xz, op.xz),
+            ("[v; omega] rows x [v; omega] columns", "3x3-block diagonal", a_zz, op.zz),
+        ):
+            # a boolean mask counts faster than a strided float view
+            if np.count_nonzero(region != 0.0) != np.count_nonzero(kept):
+                raise ValueError(f"linearized operator block {name} is not {shape}")
+        return op
 
     @classmethod
     def zeros(cls, n_nodes):
-        return cls(np.zeros((12 * n_nodes, 12 * n_nodes)), n_nodes)
+        k, blocks = 6 * n_nodes, (2 * n_nodes, 3, 3)
+        return cls(np.zeros(blocks), np.zeros(blocks), np.zeros(k), np.zeros((k, k)))
 
 
 def linearize_dynamics(state, wrench_total, params, grid):
@@ -202,8 +252,9 @@ def linearize_dynamics(state, wrench_total, params, grid):
     ii, jj, coef = _stencil_pairs(n, grid.ds)
     spread_rb = _scatter_pairs(ii, jj, -coef[:, None, None] * (rot[jj] @ hat(kl_dq[ii])), n)
 
-    a31 = (_bd_mul(r_kl, pert.dqs_p) + _bd_mul(rs_kl, pert.dq_p)) / mass_l
-    a32 = (
+    zx = np.empty((2 * m, 2 * m))
+    zx[:m, :m] = (_bd_mul(r_kl, pert.dqs_p) + _bd_mul(rs_kl, pert.dq_p)) / mass_l
+    zx[:m, m:] = (
         _bd_mul(r_kl, pert.dqs_eta)
         + _bd_mul(rs_kl, pert.dq_eta)
         - _block_diag(rot @ hat(kl_qs))
@@ -213,31 +264,26 @@ def linearize_dynamics(state, wrench_total, params, grid):
     coef_q = hat(profile.q) @ kl - hat(kl_dq)
     coef_u = hat(profile.u) @ ka - hat(ka_du)
     body_l = np.einsum("nji,nj->ni", rot, wrench_total.l)
-    a41 = _const_mul(jrho_inv, _bd_mul(coef_q, pert.dq_p))
-    a42 = _const_mul(
+    zx[m:, :m] = _const_mul(jrho_inv, _bd_mul(coef_q, pert.dq_p))
+    zx[m:, m:] = _const_mul(
         jrho_inv,
         _const_mul(ka, pert.dus_eta)
         + _bd_mul(coef_u, pert.du_eta)
         + _bd_mul(coef_q, pert.dq_eta)
         + _block_diag(hat(body_l)),
     )
-    a44_blocks = np.einsum(
+
+    xx = np.zeros((2 * n, 3, 3))
+    zz = np.zeros_like(xx)
+    xx[n:] = -hat(state.omega)
+    zz[n:] = np.einsum(
         "ab,nbc->nac", jrho_inv, hat(state.omega @ jrho.T) - hat(state.omega) @ jrho
     )
-
-    dense = np.zeros((12 * n, 12 * n))
-    dense[0:m, 2 * m : 3 * m] = np.eye(m)
-    dense[m : 2 * m, m : 2 * m] = _block_diag(-hat(state.omega))
-    dense[m : 2 * m, 3 * m : 4 * m] = np.eye(m)
-    dense[2 * m : 3 * m, 0:m] = a31
-    dense[2 * m : 3 * m, m : 2 * m] = a32
-    dense[3 * m : 4 * m, 0:m] = a41
-    dense[3 * m : 4 * m, m : 2 * m] = a42
-    dense[3 * m : 4 * m, 3 * m : 4 * m] = _block_diag(a44_blocks)
+    xz = np.ones(2 * m)
     # clamped base: the plant returns zero rates at node 0
-    for blk in range(4):
-        dense[blk * m : blk * m + 3, :] = 0.0
-    return LinearizedOperator(dense, n)
+    xx[n] = zz[n] = 0.0
+    xz[:3] = xz[m : m + 3] = zx[:3] = zx[m : m + 3] = 0.0
+    return LinearizedOperator(xx, zz, xz, zx)
 
 
 # ---------------------------------------------------------------------------
@@ -342,13 +388,6 @@ class EstimatorState:
         return EstimatorState(estimate, covariance, self.step_count + 1, gain)
 
 
-def _diag_blocks(square):
-    """The (k, 3, 3) diagonal blocks of a (3k, 3k) matrix."""
-    k = square.shape[0] // 3
-    idx = np.arange(k)
-    return square.reshape(k, 3, k, 3)[idx, :, idx, :]
-
-
 def _node_reach(a_zx, n):
     """Largest node distance between a z row and an x column that ``a_zx`` couples.
 
@@ -400,13 +439,12 @@ def _cayley_transition(op, dt):
 
     Over ``x = [p; eta]`` and ``z = [v; omega]``, ``M = [[D1, C], [E, D2]]``
     with D1 and D2 3x3-block diagonal, C diagonal and only E unstructured
-    (the pattern documented on ``LinearizedOperator``; an entry off it
-    raises ``ValueError``), so ``M`` is inverted through the 6n x 6n Schur
-    complement ``S = D2 - E D1^-1 C``.  With ``u = M^-1 y``,
+    (the blocks ``LinearizedOperator`` holds), so ``M`` is inverted through
+    the 6n x 6n Schur complement ``S = D2 - E D1^-1 C``.  With ``u = M^-1 y``,
     ``2 u_z = S^-1 r`` for ``r = 2 y_z + dt w y_x`` and ``w = A_zx D1^-1``,
     ``2 u_x = D1^-1 (2 y_x - C 2 u_z)``, and ``Phi y = 2 u - y``.
 
-    E reaches ``g`` nodes (read from the operator), so with the z unknowns
+    E reaches ``g`` nodes (read from ``op.zx``), so with the z unknowns
     node-major (per node ``v_j`` then ``omega_j``) in runs of ``g`` nodes,
     ``S`` and ``w`` are block tridiagonal with 6g x 6g blocks.  ``S`` is
     factored by one forward sweep that keeps each pivot block's inverse
@@ -414,49 +452,39 @@ def _cayley_transition(op, dt):
     every run's three ``w`` blocks with a window of ``y_x``, a forward and a
     backward sweep over the runs, and per-node 3x3 products for the x rows.
     A reach of n - 1 makes one run: the dense inverse of ``S``.  A singular
-    pivot block raises ``CovarianceBlowup`` naming its nodes.
+    pivot block raises ``CovarianceBlowup`` naming its nodes.  The returned
+    ``apply(y, out)`` writes into the caller's ``out``.
     """
-    a = op.dense
-    if not np.all(np.isfinite(a)):
+    if not all(np.all(np.isfinite(block)) for block in op):
         raise CovarianceBlowup("non-finite transition I - dt A/2: NaN/Inf in the operator")
     n = op.n_nodes
     k = 6 * n
     h = 0.5 * dt
-    a_xx, a_xz, a_zx, a_zz = a[:k, :k], a[:k, k:], a[k:, :k], a[k:, k:]
-    blocks_x, diag_xz, blocks_z = _diag_blocks(a_xx), np.diagonal(a_xz), _diag_blocks(a_zz)
-    for name, shape, region, kept in (
-        ("[p; eta] rows x [p; eta] columns", "3x3-block diagonal", a_xx, blocks_x),
-        ("[p; eta] rows x [v; omega] columns", "diagonal", a_xz, diag_xz),
-        ("[v; omega] rows x [v; omega] columns", "3x3-block diagonal", a_zz, blocks_z),
-    ):
-        # a boolean mask counts faster than a strided float view
-        if np.count_nonzero(region != 0.0) != np.count_nonzero(kept):
-            raise ValueError(f"linearized operator block {name} is not {shape}")
-    reach = _node_reach(a_zx, n)
+    reach = _node_reach(op.zx, n)
     group = max(reach, 1) if reach < n - 1 else n
     z_slots, x_slots, live, real = _runs(n, group)
     runs, width = z_slots.shape
     eye3 = np.eye(3)
-    d1 = eye3 - h * blocks_x
+    d1 = eye3 - h * op.xx
     try:
         d1_inv = np.linalg.inv(d1)
     except np.linalg.LinAlgError as exc:
         node = np.flatnonzero(np.linalg.det(d1) == 0.0)[0] % n
         raise _singular(node, node) from exc
     # the band of w = A_zx D1^-1: the run d - 1 off the diagonal is w[d]
-    a_band = a[k + z_slots[:, :, None], x_slots[:, :, None, :]] * live
+    a_band = op.zx[z_slots[:, :, None], x_slots[:, :, None, :]] * live
     w = np.einsum(
         "duiqc,duqce->duiqe",
         a_band.reshape(3, runs, width, 2 * group, 3),
         d1_inv[x_slots[:, :, ::3] // 3],
         optimize=True,
     ).reshape(a_band.shape)
-    # E = -h A_zx and C = -h diag(diag_xz) give E D1^-1 C = h^2 w diag(diag_xz)
-    schur = w * diag_xz[x_slots][:, :, None, :]
+    # E = -h A_zx and C = -h diag(A_xz) give E D1^-1 C = h^2 w diag(A_xz)
+    schur = w * op.xz[x_slots][:, :, None, :]
     schur *= -h * h
     own = np.arange(2 * group)
     schur[1].reshape(runs, 2 * group, 3, 2 * group, 3)[:, own, :, own, :] += (
-        eye3 - h * (blocks_z[z_slots[:, ::3] // 3] * real[:, ::3, None, None])
+        eye3 - h * (op.zz[z_slots[:, ::3] // 3] * real[:, ::3, None, None])
     ).transpose(1, 0, 2, 3)  # padded slots get identity rows
     # finite operator entries can still overflow S, and np.linalg.inv does
     # not check its input
@@ -482,33 +510,36 @@ def _cayley_transition(op, dt):
     # each run's [h w_(i, i-1), h w_(i, i), h w_(i, i+1)] against a window of y_x
     w_window = (h * w).transpose(1, 2, 0, 3).reshape(runs, width, 3 * width)
     # 2 u_x = D1^-1 (-C) (2 u_z) + 2 D1^-1 y_x, so Phi y has x rows
-    # (D1^-1 diag(h diag_xz)) (2 u_z) + (2 D1^-1 - I) y_x, taken node-major
-    from_z = d1_inv * (h * diag_xz).reshape(-1, 1, 3)
+    # (D1^-1 diag(h A_xz)) (2 u_z) + (2 D1^-1 - I) y_x, taken node-major
+    from_z = d1_inv * (h * op.xz).reshape(-1, 1, 3)
     from_x = 2.0 * d1_inv - eye3
     from_z, from_x = (m.reshape(2, n, 3, 3).transpose(1, 0, 2, 3) for m in (from_z, from_x))
 
-    def apply(y):
+    def apply(y, out):
+        """Write ``Phi @ y`` into ``out``, a C-contiguous array of ``y``'s shape."""
         cols = y.shape[1]
-        out = np.empty(y.shape)
         # y_x node-major with an empty run on either side, three runs per window
-        y_x = np.zeros(((runs + 2) * group, 2, 3, cols))
+        y_x = np.empty(((runs + 2) * group, 2, 3, cols))
+        y_x[:group] = y_x[group + n :] = 0.0
         x_nodes = y_x[group : group + n]
         x_nodes[...] = y[:k].reshape(2, n, 3, cols).transpose(1, 0, 2, 3)
         windows = sliding_window_view(y_x.reshape(-1, cols), 3 * width, axis=0)[::width]
         r = w_window @ windows.transpose(0, 2, 1)
         y_z = y[k:].reshape(2, n, 3, cols).transpose(1, 0, 2, 3)
         r.reshape(-1, 2, 3, cols)[:n] += y_z
+        tmp = np.empty((width, cols))
         for i in range(1, runs):
-            r[i] -= lower[i] @ r[i - 1]
-        r = pivot_inv @ r
+            r[i] -= np.matmul(lower[i], r[i - 1], out=tmp)
+        # backward sweep: run i becomes pivot_inv[i] r_i - upper[i] (run i + 1)
+        r[-1] = np.matmul(pivot_inv[-1], r[-1], out=tmp)
         for i in range(runs - 2, -1, -1):
-            r[i] -= upper[i] @ r[i + 1]
+            np.matmul(pivot_inv[i], r[i], out=tmp)
+            np.subtract(tmp, np.matmul(upper[i], r[i + 1], out=r[i]), out=r[i])
         twice_z = r.reshape(-1, 2, 3, cols)[:n]
         phi = out.reshape(4, n, 3, cols).transpose(1, 0, 2, 3)  # field-major rows, per node
         np.subtract(twice_z, y_z, out=phi[:, 2:])
         np.matmul(from_z, twice_z, out=phi[:, :2])
-        phi[:, :2] += from_x @ x_nodes
-        return out
+        phi[:, :2] += np.matmul(from_x, x_nodes, out=twice_z)  # the runs are spent
 
     return apply
 
@@ -522,9 +553,10 @@ def riccati_step(est, op, noise, dt, cap=1e6, measurement_dt=None):
     spectrum (a plain forward step amplifies those modes at any dt near the
     CFL bound) and preserves semidefiniteness.  ``I - dt A/2`` is inverted
     through its 6n x 6n Schur complement, factored as a block-tridiagonal
-    band, which needs the block pattern documented on ``LinearizedOperator``;
-    ``Phi`` is applied and never formed, as ``Phi @ (Phi @ P).T`` for the
-    symmetric covariance ``P``.
+    band over the blocks ``LinearizedOperator`` holds; ``Phi`` is applied and
+    never formed, as ``Phi @ (Phi @ P).T`` for the symmetric covariance
+    ``P``.  The contraction and the symmetrization run in place in the two
+    products' buffers; neither ``est`` nor ``op`` is written.
 
     Measurements are per-sample draws with covariance ``noise.meas_cov``
     arriving every ``measurement_dt`` (default: one sample per update), so
@@ -540,21 +572,24 @@ def riccati_step(est, op, noise, dt, cap=1e6, measurement_dt=None):
         If any diagonal entry exceeds ``cap`` or is not finite, or if
         ``I - dt A/2`` is singular (the message names the nodes) or not
         finite.
-    ValueError
-        If ``op.dense`` has a nonzero entry outside the block pattern.
     """
     p = est.covariance
     m = 3 * op.n_nodes
     phi = _cayley_transition(op, dt)
-    p_pred = phi(phi(p).T)
+    first, p_new = np.empty(p.shape), np.empty(p.shape)
+    phi(p, first)
+    phi(first.T, p_new)
     q_full = noise.process_full()
     if q_full is not None:
-        p_pred = p_pred + dt * q_full
+        p_new += dt * q_full
     r_int = (measurement_dt if measurement_dt is not None else dt) * noise.meas_full()
-    s = r_int + dt * p_pred[:m, :m]
-    gain_reg = p_pred[:, :m] @ np.linalg.inv(s)
-    p_new = p_pred - dt * gain_reg @ p_pred[:m, :]
-    p_new = 0.5 * (p_new + p_new.T)
+    s = r_int + dt * p_new[:m, :m]
+    gain_reg = p_new[:, :m] @ np.linalg.inv(s)
+    # the first product is spent: it takes the correction, then the transpose
+    p_new -= np.matmul(dt * gain_reg, p_new[:m, :], out=first)
+    np.copyto(first, p_new.T)
+    p_new += first
+    p_new *= 0.5
     diag = np.diagonal(p_new)
     if not np.all(diag <= cap):
         cause = f"exceeded cap {cap:.1e}" if np.all(np.isfinite(diag)) else "is non-finite"

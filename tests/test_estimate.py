@@ -348,7 +348,10 @@ class TestRiccati:
         op = LinearizedOperator.zeros(n)
         state = make_initial_state(Grid(n_nodes=n, ds=0.1), "straight_at_rest")
         prior = np.eye(12 * n)
-        (prior if where == "prior" else op.dense)[5, 5] = np.nan
+        if where == "prior":
+            prior[5, 5] = np.nan
+        else:
+            op.xx[1, 2, 2] = np.nan  # entry (5, 5) of the dense operator
         with pytest.raises(CovarianceBlowup, match="non-finite"):
             riccati_step(EstimatorState(state, prior), op, noise, 2e-4)
 
@@ -357,7 +360,7 @@ class TestRiccati:
         dt = 2e-4
         noise = self.make_noise(n)
         op = LinearizedOperator.zeros(n)
-        op.dense[7, 7] = 2.0 / dt  # I - dt A/2 has a zero pivot
+        op.xx[2, 1, 1] = 2.0 / dt  # entry (7, 7): I - dt A/2 has a zero pivot
         state = make_initial_state(Grid(n_nodes=n, ds=0.1), "straight_at_rest")
         with pytest.raises(CovarianceBlowup, match="singular"):
             riccati_step(EstimatorState(state, np.eye(12 * n)), op, noise, dt)
@@ -460,19 +463,41 @@ class TestStructuredTransition:
             for cols in (slice(0, k), slice(k, 2 * k)):
                 assert np.any(op.dense[rows, cols])  # every block of the pattern is live
 
+    @pytest.mark.parametrize("n_nodes", [9, 21])
+    def test_dense_round_trip_is_exact(self, n_nodes, ref_params, rng):
+        _, _, op = perturbed_swing_operator(n_nodes, ref_params, rng)
+        back = LinearizedOperator.from_dense(op.dense, n_nodes)
+        for name in LinearizedOperator._fields:
+            mine, theirs = getattr(op, name), getattr(back, name)
+            assert mine.shape == theirs.shape and mine.tobytes() == theirs.tobytes(), name
+
     def test_entry_off_the_pattern_raises(self):
         n = 4
-        op = LinearizedOperator.zeros(n)
-        op.dense[0, 5] = 1.0  # p row, p column of the next node
-        state = make_initial_state(Grid(n_nodes=n, ds=0.1), "straight_at_rest")
-        noise = NoiseModel.isotropic(Grid(n_nodes=n, ds=0.1))
-        with pytest.raises(ValueError, match=r"\[p; eta\] rows x \[p; eta\] columns"):
-            riccati_step(EstimatorState(state, np.eye(12 * n)), op, noise, self.DT)
+        k = 6 * n
+        for row, col, block, shape in (
+            (0, 5, r"\[p; eta\] rows x \[p; eta\] columns", "3x3-block diagonal"),
+            (0, k + 1, r"\[p; eta\] rows x \[v; omega\] columns", "diagonal"),
+            (k, k + 3, r"\[v; omega\] rows x \[v; omega\] columns", "3x3-block diagonal"),
+        ):
+            dense = np.zeros((2 * k, 2 * k))
+            dense[row, col] = 1.0  # the next node's column, or off the x-z diagonal
+            with pytest.raises(ValueError, match=f"block {block} is not {shape}$"):
+                LinearizedOperator.from_dense(dense, n)
+
+    def test_refresh_leaves_its_inputs_unchanged(self, ref_params, rng):
+        grid, state, op = perturbed_swing_operator(21, ref_params, rng)
+        noise = NoiseModel.isotropic(grid, meas_var=0.02)
+        est = EstimatorState(state, self.correlated_prior(op, noise))
+        before = [a.tobytes() for a in (est.covariance, *op)]
+        p = riccati_step(est, op, noise, self.DT, measurement_dt=self.MEAS_DT)
+        assert [a.tobytes() for a in (est.covariance, *op)] == before
+        assert not np.shares_memory(p, est.covariance)
+        assert np.array_equal(p, p.T)
 
     def test_singular_schur_complement_raises_blowup(self):
         n = 4
         op = LinearizedOperator.zeros(n)
-        op.dense[6 * n + 4, 6 * n + 4] = 2.0 / self.DT  # a v row: S has a zero pivot
+        op.zz[1, 1, 1] = 2.0 / self.DT  # v row 6n + 4 on the diagonal: S has a zero pivot
         state = make_initial_state(Grid(n_nodes=n, ds=0.1), "straight_at_rest")
         noise = NoiseModel.isotropic(Grid(n_nodes=n, ds=0.1))
         with pytest.raises(CovarianceBlowup, match="singular"):
@@ -483,7 +508,7 @@ class TestStructuredTransition:
         op = LinearizedOperator.zeros(n)
         # finite and on the pattern (a v row's p column and back), but the
         # product E D1^-1 C in S = D2 - E D1^-1 C overflows
-        op.dense[6 * n + 4, 4] = op.dense[4, 6 * n + 4] = 1e300
+        op.zx[4, 4] = op.xz[4] = 1e300  # entries (6n + 4, 4) and (4, 6n + 4)
         state = make_initial_state(Grid(n_nodes=n, ds=0.1), "straight_at_rest")
         noise = NoiseModel.isotropic(Grid(n_nodes=n, ds=0.1))
         with pytest.warns(RuntimeWarning, match="overflow"):
@@ -511,22 +536,20 @@ class TestStructuredTransition:
     @pytest.mark.parametrize(("n_nodes", "row_node", "col_node"), [(21, 10, 3), (9, 0, 7)])
     def test_reach_is_read_from_the_operator(self, n_nodes, row_node, col_node, ref_params, rng):
         grid, state, op = perturbed_swing_operator(n_nodes, ref_params, rng)
-        k = 6 * n_nodes
-        op.dense[k + 3 * row_node, 3 * col_node + 1] = 0.1 * np.max(np.abs(op.dense[k:, :k]))
-        op.dense[3 * row_node, k + 3 * row_node] = 1.0  # p rate from v; 1 already off node 0
+        op.zx[3 * row_node, 3 * col_node + 1] = 0.1 * np.max(np.abs(op.zx))
+        op.xz[3 * row_node] = 1.0  # p rate from v; 1 already off node 0
         self.assert_matches_dense(grid, state, op)
 
     def test_dense_coupling_is_one_run(self, ref_params, rng):
         grid, state, op = perturbed_swing_operator(11, ref_params, rng)
-        k = 6 * 11
-        op.dense[k:, :k] += 1e4 * rng.normal(size=(k, k))
+        op.zx[...] += 1e4 * rng.normal(size=op.zx.shape)
         self.assert_matches_dense(grid, state, op)
 
     def test_singular_pivot_names_its_run(self):
         n = 8
         op = LinearizedOperator.zeros(n)
-        op.dense[6 * n + 3 * 3, 3 * 1] = 1.0  # couples nodes 3 and 1: runs of 2 nodes
-        op.dense[6 * n + 3 * 5 + 1, 6 * n + 3 * 5 + 1] = 2.0 / self.DT  # zero pivot, node 5
+        op.zx[3 * 3, 3 * 1] = 1.0  # couples nodes 3 and 1: runs of 2 nodes
+        op.zz[5, 1, 1] = 2.0 / self.DT  # zero pivot, node 5
         state = make_initial_state(Grid(n_nodes=n, ds=0.1), "straight_at_rest")
         noise = NoiseModel.isotropic(Grid(n_nodes=n, ds=0.1))
         with pytest.raises(CovarianceBlowup, match="singular transition I - dt A/2 at nodes 4–5"):

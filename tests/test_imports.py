@@ -2,7 +2,10 @@
 
 Every name a package module imports is used in that module: no linter ships
 with the project, so this stdlib-``ast`` check catches imports left behind
-when the code that used them is deleted.  ``__init__.py`` is skipped (its
+when the code that used them is deleted.  Likewise every module-level
+function and class is referenced somewhere in the package outside its own
+definition (the ``__init__`` re-exports count), which catches helpers
+orphaned by a change.  ``__init__.py`` is skipped (its
 imports are the public re-exports), as is ``__future__``.  The third-party
 modules the package imports are exactly its declared runtime dependencies,
 and neither importing the package nor running a live covariance refresh
@@ -38,6 +41,36 @@ def unused_imports(source):
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
+def dead_definitions(sources):
+    """``(file, line, name)`` of module-level functions and classes no other code names.
+
+    ``sources`` maps file names to source text.  A definition is live when
+    its name appears as a name, an attribute or an imported name anywhere in
+    ``sources`` outside the lines of the definition itself.
+    """
+    defs, refs = [], []
+    for fname, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defs.append((fname, node.lineno, node.end_lineno, node.name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                refs.append((fname, node.lineno, node.id))
+            elif isinstance(node, ast.Attribute):
+                refs.append((fname, node.lineno, node.attr))
+            elif isinstance(node, ast.ImportFrom):
+                refs.extend((fname, node.lineno, alias.name) for alias in node.names)
+    return sorted(
+        (fname, first, name)
+        for fname, first, last, name in defs
+        if not any(
+            ref == name and not (where == fname and first <= line <= last)
+            for where, line, ref in refs
+        )
+    )
+
+
 def third_party_imports(source):
     """Top-level names of the absolute, non-stdlib imports anywhere in ``source``."""
     names = set()
@@ -59,6 +92,20 @@ def test_check_flags_an_unused_import():
         (1, "os"),
         (2, "tau"),
     ]
+
+
+def test_every_definition_is_referenced():
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert dead_definitions(sources) == []
+
+
+def test_check_flags_a_dead_definition():
+    sources = {
+        "a.py": "def used():\n    pass\n\ndef unused():\n    return unused()\n\n"
+        "class Kept:\n    pass\n",
+        "b.py": "from .a import Kept\nused()\n",
+    }
+    assert dead_definitions(sources) == [("a.py", 4, "unused")]
 
 
 def test_third_party_imports_match_declared_dependencies():
