@@ -1,7 +1,6 @@
 """Soft rod dynamics, geometric tracking control, and Lie-group state estimation."""
 
 from .control import (
-    DesiredTrajectory,
     GainProfile,
     TrackingBasinReport,
     TrackingErrors,

@@ -29,13 +29,6 @@ class TrajectoryPoint(NamedTuple):
     omega_t: np.ndarray  # (n, 3)
 
 
-class DesiredTrajectory:
-    """Smooth desired motion; subclasses implement ``evaluate(s, t)``."""
-
-    def evaluate(self, s, t) -> TrajectoryPoint:
-        raise NotImplementedError
-
-
 @dataclass(frozen=True)
 class GainProfile:
     """Per-node positive PD gains plus the Lyapunov coupling weight ``c``.

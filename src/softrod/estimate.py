@@ -22,7 +22,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .discretize import _first_derivative_matrix, step
+from .discretize import _first_derivative_matrix, d_ds, step
 from .geometry import hat
 from .rod import (
     REFERENCE_STRETCH,
@@ -51,13 +51,6 @@ def _block_diag(blocks):
     return out.reshape(3 * n, 3 * n)
 
 
-def _diag_blocks(square):
-    """The (k, 3, 3) diagonal blocks of a (3k, 3k) matrix."""
-    k = square.shape[0] // 3
-    idx = np.arange(k)
-    return square.reshape(k, 3, k, 3)[idx, :, idx, :]
-
-
 def _bd_mul(blocks, m):
     """Left-multiply by a block-diagonal matrix: ``blockdiag(blocks) @ m``."""
     n = blocks.shape[0]
@@ -67,12 +60,6 @@ def _bd_mul(blocks, m):
 def _const_mul(mat3, m):
     """Left-multiply every nodal 3-row slab by the same 3x3 matrix."""
     return np.einsum("ab,nbk->nak", mat3, m.reshape(-1, 3, m.shape[1])).reshape(m.shape)
-
-
-@lru_cache(maxsize=16)
-def _vector_stencil(n_nodes, ds):
-    """First-derivative stencil acting on stacked per-node 3-vectors."""
-    return np.kron(_first_derivative_matrix(n_nodes, ds), np.eye(3))
 
 
 @lru_cache(maxsize=16)
@@ -120,11 +107,11 @@ def strain_perturbation(state, grid):
     assumed.
     """
     n = grid.n_nodes
-    dv = _vector_stencil(n, grid.ds)
     profile = strain_profile(state, grid)
     rot = state.rot
+    ii, jj, coef = _stencil_pairs(n, grid.ds)
 
-    dq_p = _bd_mul(rot.transpose(0, 2, 1), dv)
+    dq_p = _scatter_pairs(ii, jj, coef[:, None, None] * rot[ii].transpose(0, 2, 1), n)
     dq_eta = _block_diag(hat(profile.q))
     dq_p[-3:] = 0.0
     dq_eta[-3:] = 0.0
@@ -132,7 +119,6 @@ def strain_perturbation(state, grid):
     spin = np.einsum("nji,njk->nik", rot, profile.rot_s)
     tr = np.trace(spin, axis1=1, axis2=2)
     own = -0.5 * (tr[:, None, None] * np.eye(3) - spin)
-    ii, jj, coef = _stencil_pairs(n, grid.ds)
     rel = np.einsum("kji,kjl->kil", rot[ii], rot[jj])  # R_i^T R_j
     tr_rel = np.trace(rel, axis1=1, axis2=2)
     pair_blocks = coef[:, None, None] * 0.5 * (
@@ -141,13 +127,17 @@ def strain_perturbation(state, grid):
     du_eta = _block_diag(own) + _scatter_pairs(ii, jj, pair_blocks, n)
     du_eta[-3:] = 0.0
 
+    def along_nodes(mat):
+        """The rod's stencil applied along the node axis of a (3n, 3n) matrix."""
+        return d_ds(mat.reshape(n, -1), grid).reshape(mat.shape)
+
     return StrainPerturbation(
         dq_p=dq_p,
         dq_eta=dq_eta,
-        dqs_p=dv @ dq_p,
-        dqs_eta=dv @ dq_eta,
+        dqs_p=along_nodes(dq_p),
+        dqs_eta=along_nodes(dq_eta),
         du_eta=du_eta,
-        dus_eta=dv @ du_eta,
+        dus_eta=along_nodes(du_eta),
     )
 
 
@@ -171,8 +161,7 @@ class LinearizedOperator(NamedTuple):
     block is diagonal, kept as its (6n,) diagonal ``xz``; and only the z-x
     block ``zx`` (``a31, a32, a41, a42``) is a full (6n, 6n) array.  Its node
     reach sets the run length of the refresh's block-tridiagonal
-    factorization.  ``dense`` assembles the (12n, 12n) matrix on demand and
-    ``from_dense`` splits one back into blocks.
+    factorization.  ``dense`` assembles the (12n, 12n) matrix on demand.
     """
 
     xx: np.ndarray
@@ -198,29 +187,6 @@ class LinearizedOperator(NamedTuple):
         return out
 
     @classmethod
-    def from_dense(cls, dense, n_nodes):
-        """Split a (12n, 12n) operator into its blocks.
-
-        Raises ``ValueError`` naming the block if an entry lies off the
-        pattern documented on the class.
-        """
-        k = 6 * n_nodes
-        if np.shape(dense) != (2 * k, 2 * k):
-            raise ValueError(f"dense operator must have shape ({2 * k}, {2 * k})")
-        a_xx, a_xz, a_zz = dense[:k, :k], dense[:k, k:], dense[k:, k:]
-        xz = np.diagonal(a_xz).copy()
-        op = cls(_diag_blocks(a_xx), _diag_blocks(a_zz), xz, dense[k:, :k].copy())
-        for name, shape, region, kept in (
-            ("[p; eta] rows x [p; eta] columns", "3x3-block diagonal", a_xx, op.xx),
-            ("[p; eta] rows x [v; omega] columns", "diagonal", a_xz, op.xz),
-            ("[v; omega] rows x [v; omega] columns", "3x3-block diagonal", a_zz, op.zz),
-        ):
-            # a boolean mask counts faster than a strided float view
-            if np.count_nonzero(region != 0.0) != np.count_nonzero(kept):
-                raise ValueError(f"linearized operator block {name} is not {shape}")
-        return op
-
-    @classmethod
     def zeros(cls, n_nodes):
         k, blocks = 6 * n_nodes, (2 * n_nodes, 3, 3)
         return cls(np.zeros(blocks), np.zeros(blocks), np.zeros(k), np.zeros((k, k)))
@@ -239,8 +205,7 @@ def linearize_dynamics(state, wrench_total, params, grid):
     profile = strain_profile(state, grid)
     pert = strain_perturbation(state, grid)
     kl, ka = params.stiffness_linear, params.stiffness_angular
-    jrho = params.rotational_mass
-    jrho_inv = np.linalg.inv(jrho)
+    jrho, jrho_inv = params.rotational_mass, params.rotational_mass_inv
     mass_l = params.linear_mass
 
     kl_qs = profile.q_s @ kl.T
@@ -451,9 +416,8 @@ def _cayley_transition(op, dt):
     (pivoting only within a block).  Each apply is one batched product of
     every run's three ``w`` blocks with a window of ``y_x``, a forward and a
     backward sweep over the runs, and per-node 3x3 products for the x rows.
-    A reach of n - 1 makes one run: the dense inverse of ``S``.  A singular
-    pivot block raises ``CovarianceBlowup`` naming its nodes.  The returned
-    ``apply(y, out)`` writes into the caller's ``out``.
+    A singular pivot block raises ``CovarianceBlowup`` naming its nodes.  The
+    returned ``apply(y, out)`` writes into the caller's ``out``.
     """
     if not all(np.all(np.isfinite(block)) for block in op):
         raise CovarianceBlowup("non-finite transition I - dt A/2: NaN/Inf in the operator")
@@ -461,7 +425,7 @@ def _cayley_transition(op, dt):
     k = 6 * n
     h = 0.5 * dt
     reach = _node_reach(op.zx, n)
-    group = max(reach, 1) if reach < n - 1 else n
+    group = max(reach, 1)
     z_slots, x_slots, live, real = _runs(n, group)
     runs, width = z_slots.shape
     eye3 = np.eye(3)
@@ -613,9 +577,9 @@ def filter_update(
     Relinearizes and advances the covariance every ``riccati_stride``-th call
     (covering ``stride * dt`` of filter time per refresh) and returns the new
     covariance, the held gain and the per-field innovation rates for the
-    current measurement.  ``wrench`` is a callable ``(state, t) -> Wrench``,
-    called on a refresh only: the linearization uses its value at the
-    current estimate.
+    current measurement.  ``wrench`` is a callable ``t -> Wrench`` giving the
+    applied wrench at the current filter time, called on a refresh only; the
+    linearization at the current estimate uses its value.
     """
     n = grid.n_nodes
     m = 3 * n
@@ -629,8 +593,7 @@ def filter_update(
         covariance = est.covariance
         gain = est.gain if est.gain is not None else np.zeros((4 * m, m))
     else:
-        wrench_value = wrench(est.estimate, est.step_count * cfg.dt)
-        op = linearize_dynamics(est.estimate, wrench_value, params, grid)
+        op = linearize_dynamics(est.estimate, wrench(est.step_count * cfg.dt), params, grid)
         covariance = riccati_step(
             est,
             op,
@@ -677,7 +640,7 @@ def ekf_step(
     covariance, gain, correction = filter_update(
         est,
         y,
-        lambda _s, _t: wrench_total,
+        lambda _t: wrench_total,
         params,
         grid,
         noise,

@@ -17,7 +17,6 @@ from pathlib import Path
 import numpy as np
 
 from .control import (
-    DesiredTrajectory,
     GainProfile,
     TrajectoryPoint,
     attitude_margins,
@@ -207,7 +206,7 @@ def config_lines(cfg):
 MEMO_SIZE = 3  # trajectory points SwingTrajectory.evaluate keeps
 
 
-class SwingTrajectory(DesiredTrajectory):
+class SwingTrajectory:
     """Planar bending swing of a clamped rod in the yz-plane.
 
     The cross-section frames roll about the x-axis by
@@ -505,7 +504,7 @@ def run_closed_loop(cfg, out_dir=None):
             covariance, gain, correction = filter_update(
                 estimator,
                 y,
-                lambda _st, tau: controller_wrench(fb_state, tau),
+                lambda tau: controller_wrench(fb_state, tau),
                 params,
                 grid,
                 noise,
