@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from .discretize import check_cfl
@@ -13,16 +14,8 @@ from .rod import make_initial_state
 
 def _base_config(args):
     cfg = load_config(args.config) if args.config else RunConfig()
-    overrides = []
-    if getattr(args, "seed", None) is not None:
-        overrides.append(f"seed={args.seed}")
-    if getattr(args, "duration", None) is not None:
-        overrides.append(f"duration={args.duration}")
-    if getattr(args, "feedback", None) is not None:
-        overrides.append(f"feedback={args.feedback}")
-    if getattr(args, "scheme", None) is not None:
-        overrides.append(f"scheme={args.scheme}")
-    return apply_overrides(cfg, overrides) if overrides else cfg
+    flags = {name: getattr(args, name, None) for name in ("seed", "duration", "feedback", "scheme")}
+    return dataclasses.replace(cfg, **{k: v for k, v in flags.items() if v is not None})
 
 
 def _cmd_run(args):

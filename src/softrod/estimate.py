@@ -96,8 +96,8 @@ class StrainPerturbation(NamedTuple):
     dus_eta: np.ndarray
 
 
-def strain_perturbation(state, grid):
-    """Exact derivative of the discrete strain recovery at ``state``.
+def strain_perturbation(state, profile, grid):
+    """Exact derivative of the discrete strain recovery at ``state``, given its ``profile``.
 
     Differentiates ``q = R^T p_s`` and ``u = axial(R^T R_s)`` through the
     stencils node by node; the tip rows are zeroed because the substituted
@@ -107,7 +107,6 @@ def strain_perturbation(state, grid):
     assumed.
     """
     n = grid.n_nodes
-    profile = strain_profile(state, grid)
     rot = state.rot
     ii, jj, coef = _stencil_pairs(n, grid.ds)
 
@@ -203,7 +202,7 @@ def linearize_dynamics(state, wrench_total, params, grid):
     m = 3 * n
     rot = state.rot
     profile = strain_profile(state, grid)
-    pert = strain_perturbation(state, grid)
+    pert = strain_perturbation(state, profile, grid)
     kl, ka = params.stiffness_linear, params.stiffness_angular
     jrho, jrho_inv = params.rotational_mass, params.rotational_mass_inv
     mass_l = params.linear_mass

@@ -93,6 +93,10 @@ class RunConfig:
     out_dir: str = "out"
 
     def __post_init__(self):
+        # +inf passes every `x > 0` test below
+        for f in dataclasses.fields(self):
+            if isinstance(f.default, float) and np.isinf(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
         # written as `not x > 0` so that NaN fails too
         if not self.duration >= 0.0:
             raise ValueError("duration must be nonnegative")
@@ -154,7 +158,18 @@ class RunConfig:
         )
 
 
-_CONFIG_FIELDS = {f.name: f.type for f in dataclasses.fields(RunConfig)}
+def _parse_item(item):
+    """``(key, value)`` of one ``key=value`` item, typed as the field's default."""
+    key, sep, text = (part.strip() for part in item.partition("="))
+    defaults = {f.name: f.default for f in dataclasses.fields(RunConfig)}
+    if not sep or not text:
+        raise ValueError(f"expected key=value, got {item!r}")
+    if key not in defaults:
+        raise ValueError(f"unknown config key {key!r}")
+    try:
+        return key, type(defaults[key])(text)
+    except ValueError:
+        raise ValueError(f"bad value for {key}: {text!r}") from None
 
 
 def load_config(path):
@@ -164,36 +179,17 @@ def load_config(path):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
-            raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-        key, _, text = line.partition("=")
-        key = key.strip()
-        text = text.strip()
-        if key not in _CONFIG_FIELDS:
-            raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-        values[key] = _parse_value(key, text)
+        try:
+            key, value = _parse_item(line)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
+        values[key] = value
     return RunConfig(**values)
-
-
-def _parse_value(key, text):
-    kind = _CONFIG_FIELDS[key]
-    if kind in ("int", int):
-        return int(text)
-    if kind in ("str", str):
-        return text
-    return float(text)
 
 
 def apply_overrides(cfg, overrides):
     """New config with ``key=value`` strings applied on top of ``cfg``."""
-    values = dataclasses.asdict(cfg)
-    for item in overrides:
-        key, _, text = item.partition("=")
-        key = key.strip()
-        if not text or key not in _CONFIG_FIELDS:
-            raise ValueError(f"bad override {item!r}")
-        values[key] = _parse_value(key, text.strip())
-    return RunConfig(**values)
+    return dataclasses.replace(cfg, **dict(map(_parse_item, overrides)))
 
 
 def config_lines(cfg):
@@ -351,11 +347,6 @@ class Snapshot:
     estimate: RodState
 
 
-def _sup(field_rows):
-    norms = np.linalg.norm(field_rows, axis=-1)
-    return float(np.max(norms)) if norms.size else 0.0
-
-
 def compute_metrics(t, plant, estimate, traj, gains, grid):
     """Metrics record from the true state, the estimate and the reference."""
     errs = tracking_errors(plant, traj, t, grid)
@@ -363,16 +354,23 @@ def compute_metrics(t, plant, estimate, traj, gains, grid):
     ref = traj.evaluate(grid.s, t)
     _, rate_margin = attitude_margins(ref.rot, plant.rot, errs.e_omega, gains.kr)
     est_rel = np.einsum("nji,njk->nik", estimate.rot, plant.rot)
+    # the eight sups in MetricsRecord's field order
+    fields = np.stack(
+        [
+            errs.e_p,
+            errs.e_v,
+            errs.e_rot,
+            errs.e_omega,
+            plant.p - estimate.p,
+            log_so3(est_rel),
+            plant.v - estimate.v,
+            plant.omega - estimate.omega,
+        ]
+    )
+    sups = np.linalg.norm(fields, axis=-1).max(axis=1)
     return MetricsRecord(
-        t=float(t),
-        ep_sup=_sup(errs.e_p),
-        ev_sup=_sup(errs.e_v),
-        er_sup=_sup(errs.e_rot),
-        ew_sup=_sup(errs.e_omega),
-        eps_p=_sup(plant.p - estimate.p),
-        eps_r=_sup(log_so3(est_rel)),
-        eps_v=_sup(plant.v - estimate.v),
-        eps_w=_sup(plant.omega - estimate.omega),
+        float(t),
+        *sups.tolist(),
         v_sup=float(np.max(v1 + v2)),
         basin_margin=float(np.min(rate_margin)),
     )
@@ -547,6 +545,8 @@ def run_closed_loop(cfg, out_dir=None):
 
 
 METRICS_HEADER = "t,ep_sup,ev_sup,eR_sup,ew_sup,eps_p,eps_R,eps_v,eps_w,V_sup"
+# MetricsRecord's fields in METRICS_HEADER's order
+_METRICS_FIELDS = [f.name for f in dataclasses.fields(MetricsRecord) if f.name != "basin_margin"]
 
 _SNAPSHOT_HEADER = ",".join(
     ["s", "p_x", "p_y", "p_z"]
@@ -555,28 +555,18 @@ _SNAPSHOT_HEADER = ",".join(
 )
 
 
-def _fmt(x):
-    return repr(float(x))
+def _metrics_cells(record):
+    return [repr(float(getattr(record, name))) for name in _METRICS_FIELDS]
 
 
 def _snapshot_rows(state, grid):
     q, u = strains(state, grid)
-    rows = []
-    for i in range(grid.n_nodes):
-        cells = [
-            _fmt(grid.s[i]),
-            *(_fmt(x) for x in state.p[i]),
-            *(_fmt(x) for x in state.rot[i].reshape(-1)),
-            *(_fmt(x) for x in state.v[i]),
-            *(_fmt(x) for x in state.omega[i]),
-            *(_fmt(x) for x in q[i]),
-            *(_fmt(x) for x in u[i]),
-        ]
-        rows.append(",".join(cells))
-    return rows
+    table = np.column_stack([grid.s, state.p, state.rot.reshape(-1, 9), state.v, state.omega, q, u])
+    # tolist() yields Python floats: under numpy 2, repr of a numpy scalar reads np.float64(...)
+    return [",".join(map(repr, row)) for row in table.tolist()]
 
 
-def emit_csv(records, snapshots, cfg, out_dir, grid=None, status="completed"):
+def emit_csv(records, snapshots, cfg, out_dir, grid, status="completed"):
     """Write metrics CSV, per-time snapshot CSVs, config echo and report.
 
     Output is byte-deterministic for a given run (floats via ``repr``).
@@ -585,29 +575,10 @@ def emit_csv(records, snapshots, cfg, out_dir, grid=None, status="completed"):
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
-        grid = grid if grid is not None else cfg.grid()
         written = []
 
         metrics_path = out / "metrics.csv"
-        lines = [METRICS_HEADER]
-        for r in records:
-            lines.append(
-                ",".join(
-                    _fmt(x)
-                    for x in (
-                        r.t,
-                        r.ep_sup,
-                        r.ev_sup,
-                        r.er_sup,
-                        r.ew_sup,
-                        r.eps_p,
-                        r.eps_r,
-                        r.eps_v,
-                        r.eps_w,
-                        r.v_sup,
-                    )
-                )
-            )
+        lines = [METRICS_HEADER] + [",".join(_metrics_cells(r)) for r in records]
         metrics_path.write_text("\n".join(lines) + "\n")
         written.append(metrics_path)
 
@@ -627,19 +598,11 @@ def emit_csv(records, snapshots, cfg, out_dir, grid=None, status="completed"):
         report_path = out / "report.txt"
         report = [f"status={status}", f"steps_logged={len(records)}"]
         if records:
-            last = records[-1]
-            report.append(f"t_final={_fmt(last.t)}")
-            report.append(
-                "final_sups="
-                + ",".join(
-                    _fmt(x) for x in (last.ep_sup, last.ev_sup, last.er_sup, last.ew_sup)
-                )
-            )
-            report.append(
-                "final_estimation_sups="
-                + ",".join(_fmt(x) for x in (last.eps_p, last.eps_r, last.eps_v, last.eps_w))
-            )
-            report.append(f"min_basin_margin={_fmt(min(r.basin_margin for r in records))}")
+            last = _metrics_cells(records[-1])
+            report.append(f"t_final={last[0]}")
+            report.append("final_sups=" + ",".join(last[1:5]))
+            report.append("final_estimation_sups=" + ",".join(last[5:9]))
+            report.append(f"min_basin_margin={float(min(r.basin_margin for r in records))!r}")
         report_path.write_text("\n".join(report) + "\n")
         written.append(report_path)
         return written

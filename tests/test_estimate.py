@@ -120,8 +120,8 @@ class TestStrainPerturbation:
     def test_matches_finite_differences(self, small_setup, rng):
         grid, params, state, _ = small_setup
         n = grid.n_nodes
-        pert = strain_perturbation(state, grid)
         base = strain_profile(state, grid)
+        pert = strain_perturbation(state, base, grid)
         eps = 1e-7
         dxi = np.zeros(12 * n)
         dxi[: 6 * n] = rng.normal(size=6 * n)
@@ -145,18 +145,18 @@ class TestStrainPerturbation:
 
     def test_velocity_independence(self, small_setup):
         grid, params, state, _ = small_setup
-        pert1 = strain_perturbation(state, grid)
+        pert1 = strain_perturbation(state, strain_profile(state, grid), grid)
         other = state.copy()
         other.v = other.v + 1.0
         other.omega = other.omega - 0.5
-        pert2 = strain_perturbation(other, grid)
+        pert2 = strain_perturbation(other, strain_profile(other, grid), grid)
         assert np.array_equal(pert1.dq_p, pert2.dq_p)
         assert np.array_equal(pert1.du_eta, pert2.du_eta)
 
     @pytest.mark.parametrize("n_nodes", [5, 20, 41])
     def test_node_axis_stencil_matches_dense_stencil(self, n_nodes, ref_params, rng):
         grid, state, _ = perturbed_swing_operator(n_nodes, ref_params, rng)
-        pert = strain_perturbation(state, grid)
+        pert = strain_perturbation(state, strain_profile(state, grid), grid)
         dv = np.kron(_first_derivative_matrix(n_nodes, grid.ds), np.eye(3))
         dq_p = _block_diag(state.rot.transpose(0, 2, 1)) @ dv
         dq_p[-3:] = 0.0

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import subprocess
 import sys
 
@@ -15,6 +16,7 @@ from softrod import (
     load_config,
     make_swing_trajectory,
     run_closed_loop,
+    strains,
     tracking_errors,
 )
 from softrod import harness
@@ -122,6 +124,17 @@ class TestRunConfig:
         with pytest.raises(ValueError, match=f"^{named} must be"):
             RunConfig(**{field: float("nan")})
 
+    # +inf passes every `x > 0` test; taken, it fails later as an overflow,
+    # a failed eigensolve, a mid-run abort or a zero-step run
+    @pytest.mark.parametrize(
+        "field",
+        [f.name for f in dataclasses.fields(RunConfig) if isinstance(f.default, float)],
+    )
+    def test_infinite_is_rejected_naming_the_field(self, field):
+        for value in (float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match=f"^{field} must be finite$"):
+                RunConfig(**{field: value})
+
     def test_config_file_round_trip(self, tmp_path):
         cfg = quick_config(seed=11, duration=1.25, feedback="estimated")
         path = tmp_path / "run.cfg"
@@ -135,6 +148,13 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="unknown config key"):
             load_config(path)
 
+    @pytest.mark.parametrize("line", ["duration=", "seed=abc", "nonsense", "out_dir="])
+    def test_bad_config_line_is_reported_with_its_location(self, tmp_path, line):
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"# reference run\nlength=0.5\n{line}\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: "):
+            load_config(path)
+
     def test_comments_and_blanks_allowed(self, tmp_path):
         path = tmp_path / "ok.cfg"
         path.write_text("# reference run\n\nseed=3   # rng\nduration=0.5\n")
@@ -144,8 +164,9 @@ class TestRunConfig:
     def test_overrides(self):
         cfg = apply_overrides(RunConfig(), ["seed=9", "scheme=euler"])
         assert cfg.seed == 9 and cfg.scheme == "euler"
-        with pytest.raises(ValueError):
-            apply_overrides(RunConfig(), ["nonsense"])
+        for bad in ("nonsense", "out_dir="):
+            with pytest.raises(ValueError, match="expected key=value"):
+                apply_overrides(RunConfig(), [bad])
 
 
 class TestSwingTrajectory:
@@ -364,6 +385,65 @@ class TestEmitCsv:
         for name in files_a:
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
+    def test_metrics_rows_are_the_records_fields(self, tmp_path):
+        result = run_closed_loop(quick_config(duration=0.004, log_every=5), out_dir=tmp_path)
+        rows = (tmp_path / "metrics.csv").read_text().splitlines()
+        assert rows[0] == METRICS_HEADER
+        assert len(rows) == 1 + len(result.records) == 6
+        for row, record in zip(rows[1:], result.records):
+            assert row == ",".join(repr(x) for x in dataclasses.astuple(record)[:10])
+        cells = rows[-1].split(",")
+        report = (tmp_path / "report.txt").read_text().splitlines()
+        assert f"final_sups={','.join(cells[1:5])}" in report
+        assert f"final_estimation_sups={','.join(cells[5:9])}" in report
+
+    def test_sups_are_each_fields_norm_maximum(self):
+        cfg = quick_config(duration=0.004)
+        snap = run_closed_loop(cfg).snapshots[-1]
+        plant, est = snap.state, snap.estimate
+        grid = cfg.grid()
+        traj = cfg.trajectory(grid)
+        record = compute_metrics(snap.t, plant, est, traj, cfg.gains(grid), grid)
+        errs = tracking_errors(plant, traj, snap.t, grid)
+        est_rel = np.einsum("nji,njk->nik", est.rot, plant.rot)
+        for name, rows in {
+            "ep_sup": errs.e_p,
+            "ev_sup": errs.e_v,
+            "er_sup": errs.e_rot,
+            "ew_sup": errs.e_omega,
+            "eps_p": plant.p - est.p,
+            "eps_r": harness.log_so3(est_rel),
+            "eps_v": plant.v - est.v,
+            "eps_w": plant.omega - est.omega,
+        }.items():
+            assert getattr(record, name) == float(np.max(np.linalg.norm(rows, axis=-1))), name
+        assert record.eps_w > 0.0  # the live filter has moved the estimate off the plant
+
+    def test_snapshot_cells_are_the_named_state_entries(self, tmp_path):
+        cfg = quick_config(duration=0.004, snapshot_every=10)
+        result = run_closed_loop(cfg, out_dir=tmp_path)
+        grid = cfg.grid()
+        assert len(result.snapshots) == 3  # steps 0 and 10, and the final state
+        # the live filter has moved the estimate off the plant
+        assert not np.array_equal(result.snapshots[-1].state.v, result.snapshots[-1].estimate.v)
+        for snap in result.snapshots:
+            for label, state in (("state", snap.state), ("estimate", snap.estimate)):
+                q, u = strains(state, grid)
+                fields = {"p": state.p, "v": state.v, "w": state.omega, "q": q, "u": u}
+                text = (tmp_path / f"snapshot_{snap.t:.6f}s_{label}.csv").read_text()
+                header, *rows = text.splitlines()
+                assert len(rows) == grid.n_nodes
+                for i, row in enumerate(rows):
+                    for column, cell in zip(header.split(","), row.split(",")):
+                        name, _, axis = column.partition("_")
+                        if name == "s":
+                            entry = grid.s[i]
+                        elif name == "R":
+                            entry = state.rot[i, int(axis[0]), int(axis[1])]
+                        else:
+                            entry = fields[name][i, "xyz".index(axis)]
+                        assert cell == repr(float(entry)), (label, i, column)
+
     def test_offline_metric_recompute_matches_log(self, tmp_path):
         cfg = quick_config(duration=0.05, log_every=25, snapshot_every=100, initial_covariance=0.0)
         run_closed_loop(cfg, out_dir=tmp_path)
@@ -426,7 +506,15 @@ class TestCli:
         assert rc == 0
 
     @pytest.mark.parametrize(
-        "line", ["process_variance=-1e-6", "covariance_cap=0.0", "duration=nan", "dt=nan"]
+        "line",
+        [
+            "process_variance=-1e-6",
+            "covariance_cap=0.0",
+            "duration=nan",
+            "dt=nan",
+            "duration=inf",
+            "length=inf",
+        ],
     )
     def test_bad_filter_config_exits_2_before_running(self, tmp_path, capsys, line):
         cfg_path = tmp_path / "bad.cfg"
@@ -434,6 +522,12 @@ class TestCli:
         rc = cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
         assert rc == 2
         assert f"{line.split('=')[0]} must be" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_infinite_duration_flag_exits_2(self, tmp_path, capsys):
+        rc = cli_main(["run", "--duration", "inf", "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "duration must be finite" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_unknown_config_key_exits_nonzero(self, tmp_path, capsys):
