@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from .geometry import exp_so3, project_so3
-from .rod import FIELDS, RodState, StateRates
+from .rod import RodState, StateRates
 
 SCHEMES = ("euler", "rk4")
 
@@ -90,12 +90,7 @@ def step(state, rhs_fn, cfg, step_index=0, t=0.0):
         k2 = rhs_fn(_advance(state, k1, dt / 2.0), t + dt / 2.0)
         k3 = rhs_fn(_advance(state, k2, dt / 2.0), t + dt / 2.0)
         k4 = rhs_fn(_advance(state, k3, dt), t + dt)
-        combo = StateRates(
-            (k1.p + 2.0 * k2.p + 2.0 * k3.p + k4.p) / 6.0,
-            (k1.rot + 2.0 * k2.rot + 2.0 * k3.rot + k4.rot) / 6.0,
-            (k1.v + 2.0 * k2.v + 2.0 * k3.v + k4.v) / 6.0,
-            (k1.omega + 2.0 * k2.omega + 2.0 * k3.omega + k4.omega) / 6.0,
-        )
+        combo = StateRates((k1.data + 2.0 * k2.data + 2.0 * k3.data + k4.data) / 6.0)
         new = _advance(state, combo, dt)
     if (step_index + 1) % cfg.reorthonormalize_every == 0:
         new.rot = project_so3(new.rot)
@@ -111,15 +106,14 @@ def step_coupled(states, rhs_fn, cfg, step_index=0, t=0.0):
     subsystem sees the same stage values and stage times.  The members are
     stacked on a leading axis and advanced by ``step``.
     """
-    count = len(states)
 
     def split(batch):
-        return tuple(RodState(*(getattr(batch, f)[j] for f in FIELDS)) for j in range(count))
+        return tuple(RodState(*fields) for fields in zip(*batch))
 
     def stacked_rhs(batch, tau):
-        return StateRates(*map(np.stack, zip(*rhs_fn(split(batch), tau))))
+        return StateRates(np.stack([rates.data for rates in rhs_fn(split(batch), tau)]))
 
-    stacked = RodState(*(np.stack([getattr(s, f) for s in states]) for f in FIELDS))
+    stacked = RodState(*map(np.stack, zip(*states)))
     return split(step(stacked, stacked_rhs, cfg, step_index=step_index, t=t))
 
 

@@ -25,6 +25,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .discretize import _first_derivative_matrix, d_ds, step
 from .geometry import hat
 from .rod import (
+    FIELDS,
     REFERENCE_STRETCH,
     NonFiniteState,
     RodState,
@@ -346,9 +347,10 @@ class EstimatorState:
         return cls(state.copy(), covariance_scale * np.eye(12 * n))
 
     def advanced(self, estimate, covariance, gain):
-        """The filter state one step on, after a finiteness check of ``estimate``."""
-        if not np.all(np.isfinite(estimate.p)):
-            raise NonFiniteState("estimator position field blew up")
+        """The filter state one step on, after a finiteness check of each field of ``estimate``."""
+        for name, values in zip(FIELDS, estimate):
+            if not np.isfinite(values).all():
+                raise NonFiniteState(f"estimator {name} field blew up")
         return EstimatorState(estimate, covariance, self.step_count + 1, gain)
 
 
@@ -606,7 +608,7 @@ def filter_update(
     # one product per field row block, batched (a flat (12n, 3n) product
     # rounds differently)
     rates = (gain.reshape(4, m, m) @ innovation).reshape(4, n, 3)
-    return covariance, gain, StateRates(*rates)
+    return covariance, gain, StateRates(rates)
 
 
 def with_innovation(rates, correction):
@@ -616,7 +618,7 @@ def with_innovation(rates, correction):
     so the integrator's exponential update realizes
     ``R <- R exp(dt (omega + K_rot (y - p)))``.
     """
-    return StateRates(*(rate + extra for rate, extra in zip(rates, correction)))
+    return StateRates(rates.data + correction.data)
 
 
 def ekf_step(

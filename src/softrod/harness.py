@@ -449,7 +449,8 @@ def run_closed_loop(cfg, out_dir=None):
         except NonFiniteState as exc:
             raise NonFiniteState(
                 f"{divergence}: its state derivative is non-finite (NaN/Inf) "
-                f"at stage time t={tau!r}"
+                f"in {exc.where} at stage time t={tau!r}",
+                exc.where,
             ) from exc
 
     def coupled_rhs(correction):
@@ -479,14 +480,6 @@ def run_closed_loop(cfg, out_dir=None):
     def solo_rhs(state, tau):
         return closed_loop_rates(state, tau)[1]
 
-    def states_match(a, b):
-        return (
-            np.array_equal(a.p, b.p)
-            and np.array_equal(a.rot, b.rot)
-            and np.array_equal(a.v, b.v)
-            and np.array_equal(a.omega, b.omega)
-        )
-
     records, snapshots = [], []
     result = RunResult(config=cfg, records=records, snapshots=snapshots)
     t = 0.0
@@ -510,8 +503,7 @@ def run_closed_loop(cfg, out_dir=None):
                 riccati_stride=cfg.riccati_stride,
                 covariance_cap=cfg.covariance_cap,
             )
-            zero_correction = not any(np.any(field) for field in correction)
-            if zero_correction and states_match(plant, estimator.estimate):
+            if not correction.data.any() and all(map(np.array_equal, plant, estimator.estimate)):
                 # identical states, identical rates, zero innovation: the
                 # coupled step would reproduce the plant bit for bit
                 plant = step(plant, solo_rhs, int_cfg, step_index=i, t=t)

@@ -23,7 +23,11 @@ FIELDS = ("p", "rot", "v", "omega")  # RodState and StateRates field order
 
 
 class NonFiniteState(FloatingPointError):
-    """A state or derivative field picked up NaN/Inf (usually a blown-up run)."""
+    """A state or derivative field picked up NaN/Inf; ``where`` names it and its node if known."""
+
+    def __init__(self, message, where=None):
+        super().__init__(message)
+        self.where = where
 
 
 @dataclass(frozen=True)
@@ -137,8 +141,11 @@ class RodState:
     v: np.ndarray  # (n, 3) global linear velocity, m/s
     omega: np.ndarray  # (n, 3) body angular velocity, rad/s
 
+    def __iter__(self):
+        return iter((self.p, self.rot, self.v, self.omega))
+
     def copy(self):
-        return RodState(self.p.copy(), self.rot.copy(), self.v.copy(), self.omega.copy())
+        return RodState(*map(np.ndarray.copy, self))
 
     @property
     def n_nodes(self):
@@ -146,8 +153,7 @@ class RodState:
 
     def validate(self, tol=1e-9):
         n = self.p.shape[0]
-        for name in FIELDS:
-            arr = getattr(self, name)
+        for name, arr in zip(FIELDS, self):
             if arr.shape[0] != n:
                 raise ValueError(f"field {name} has {arr.shape[0]} nodes, expected {n}")
             if not np.all(np.isfinite(arr)):
@@ -170,17 +176,19 @@ class Wrench:
         return Wrench(self.f + other.f, self.l + other.l)
 
 
-class StateRates(NamedTuple):
-    """Time derivative of a ``RodState``.
+class StateRates:
+    """Time derivative of a ``RodState``: views of one field-major ``(..., 4, n, 3)`` array.
 
     ``rot`` holds the body angular-velocity tangent; integrators consume it
     through the exponential map rather than as a raw matrix derivative.
     """
 
-    p: np.ndarray
-    rot: np.ndarray
-    v: np.ndarray
-    omega: np.ndarray
+    __slots__ = ("data", "p", "rot", "v", "omega")
+    __iter__ = RodState.__iter__
+
+    def __init__(self, data):
+        self.data = data
+        self.p, self.rot, self.v, self.omega = data.swapaxes(0, -3)
 
 
 class StrainProfile(NamedTuple):
@@ -306,29 +314,24 @@ def dynamics_rhs(state, wrench, params, grid, profile=None, loads=None):
     Raises
     ------
     NonFiniteState
-        If any output entry is NaN/Inf (typically a stability violation).
+        If an output entry is NaN/Inf (typically a stability violation), naming its field and node.
     """
     if profile is None:
         profile = strain_profile(state, grid)
     force, moment = loads if loads is not None else load_terms(state, profile, params)
     body_l = _rotate_into_body(state.rot, wrench.l)
-    v_t = (force + wrench.f) / params.linear_mass
-    omega_t = (moment + body_l) @ params.rotational_mass_inv.T
-    p_t = state.v.copy()
-    rot_t = state.omega.copy()
-    # clamped base: pose and velocities frozen
-    p_t[0] = 0.0
-    rot_t[0] = 0.0
-    v_t[0] = 0.0
-    omega_t[0] = 0.0
-    if not (
-        np.isfinite(p_t).all()
-        and np.isfinite(rot_t).all()
-        and np.isfinite(v_t).all()
-        and np.isfinite(omega_t).all()
-    ):
-        raise NonFiniteState("state derivative blew up (NaN/Inf); check the time step")
-    return StateRates(p_t, rot_t, v_t, omega_t)
+    rates = StateRates(np.empty((4,) + state.p.shape))
+    rates.data[:2] = state.v, state.omega
+    np.divide(force + wrench.f, params.linear_mass, out=rates.v)
+    np.matmul(moment + body_l, params.rotational_mass_inv.T, out=rates.omega)
+    rates.data[:, 0] = 0.0  # clamped base: pose and velocities frozen
+    if not np.isfinite(rates.data).all():
+        field, node = np.argwhere(~np.isfinite(rates.data))[0, :2]
+        where = f"{FIELDS[field]} at node {node}"
+        raise NonFiniteState(
+            f"state derivative blew up (NaN/Inf) in {where}; check the time step", where
+        )
+    return rates
 
 
 def make_initial_state(grid, scenario="straight_at_rest"):

@@ -611,11 +611,11 @@ def reference_cycle(est, y, wrench, params, grid, noise, cfg, stride):
         est, y, lambda _t: wrench, params, grid, noise, cfg, riccati_stride=stride
     )
     innovation = (y - est.estimate.p).reshape(-1)
-    c = StateRates(*block_innovation_rates(gain, innovation, grid.n_nodes))
+    c = StateRates(np.stack(block_innovation_rates(gain, innovation, grid.n_nodes)))
 
     def rhs(state, _t):
         r = dynamics_rhs(state, wrench, params, grid)
-        return StateRates(r.p + c.p, r.rot + c.rot, r.v + c.v, r.omega + c.omega)
+        return StateRates(np.stack((r.p + c.p, r.rot + c.rot, r.v + c.v, r.omega + c.omega)))
 
     new = step(est.estimate, rhs, cfg, step_index=est.step_count, t=est.step_count * cfg.dt)
     return EstimatorState(new, covariance, est.step_count + 1, gain)
@@ -670,7 +670,16 @@ class TestEstimatorStateAdvanced:
         est = EstimatorState.initialize(make_initial_state(grid, "straight_at_rest"))
         bad = est.estimate.copy()
         bad.p[2, 1] = np.nan
-        with pytest.raises(NonFiniteState, match="estimator position"):
+        with pytest.raises(NonFiniteState, match="estimator p field"):
+            est.advanced(bad, est.covariance, None)
+
+    def test_nan_angular_velocity_raises(self):
+        # every field is checked, not only the measured one
+        grid = Grid(n_nodes=4, ds=0.1)
+        est = EstimatorState.initialize(make_initial_state(grid, "straight_at_rest"))
+        bad = est.estimate.copy()
+        bad.omega[1, 2] = np.nan
+        with pytest.raises(NonFiniteState, match="estimator omega field"):
             est.advanced(bad, est.covariance, None)
 
 

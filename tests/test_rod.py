@@ -17,8 +17,10 @@ from softrod import (
 )
 from softrod.geometry import exp_so3
 from softrod.rod import (
+    FIELDS,
     REFERENCE_STRETCH,
     REFERENCE_TWIST,
+    StateRates,
     StrainProfile,
     _cross,
     load_terms,
@@ -264,16 +266,48 @@ class TestDynamics:
         assert np.array_equal(n2, 4.0 * n1) and np.array_equal(m2, 4.0 * m1)
 
     def test_non_finite_state_raises(self, ref_grid, ref_params, straight_state):
+        # p_t = v, so a NaN velocity at node 3 shows first in the position rate
         state = straight_state.copy()
         state.v[3, 1] = np.nan
-        with pytest.raises(NonFiniteState):
+        with pytest.raises(NonFiniteState, match=r"blew up \(NaN/Inf\) in p at node 3;") as info:
             dynamics_rhs(state, Wrench.zero(ref_grid.n_nodes), ref_params, ref_grid)
+        assert info.value.where == "p at node 3"
 
     def test_tip_substitution_kills_tip_load_terms(self, ref_grid, rng):
         state = smooth_random_state(ref_grid, rng)
         profile = strain_profile(state, ref_grid)
         assert np.array_equal(profile.q[-1], REFERENCE_STRETCH)
         assert np.array_equal(profile.u[-1], np.zeros(3))
+
+
+class TestFieldLayout:
+    def test_rates_are_views_of_one_field_major_array(self, ref_grid, ref_params, rng):
+        state = smooth_random_state(ref_grid, rng)
+        wrench = Wrench(rng.normal(size=(21, 3)), rng.normal(size=(21, 3)))
+        rates = dynamics_rhs(state, wrench, ref_params, ref_grid)
+        assert rates.data.shape == (4, ref_grid.n_nodes, 3)
+        for j, name in enumerate(FIELDS):
+            view = getattr(rates, name)
+            assert np.shares_memory(view, rates.data)
+            view[2] = 7.0 + j
+            assert np.all(rates.data[j, 2] == 7.0 + j)
+        assert all(a is getattr(rates, name) for a, name in zip(rates, FIELDS))
+        assert not rates.data[:, 0].any()  # the clamped base row, every field
+
+    def test_batched_rates_view_the_field_axis(self):
+        data = np.arange(2 * 4 * 5 * 3, dtype=float).reshape(2, 4, 5, 3)
+        rates = StateRates(data)
+        assert rates.omega.shape == (2, 5, 3)
+        assert np.array_equal(rates.omega, data[:, 3])
+
+    def test_state_iterates_its_fields_in_order(self, ref_grid, rng):
+        state = smooth_random_state(ref_grid, rng)
+        fields = list(state)
+        assert len(fields) == len(FIELDS)
+        assert all(a is getattr(state, name) for a, name in zip(fields, FIELDS))
+        copied = state.copy()
+        for a, b in zip(copied, state):
+            assert a is not b and np.array_equal(a, b)
 
 
 class TestRigidBodyRow:
