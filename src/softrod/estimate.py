@@ -257,73 +257,37 @@ def linearize_dynamics(state, wrench_total, params, grid):
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Node-diagonal measurement and process covariances.
+    """Two variances: R = ``meas_var I`` on the positions, Q = ``process_var I`` on the state."""
 
-    ``meas_cov`` holds per-node 3x3 position-measurement covariances (must be
-    positive definite); ``process_cov`` optional per-node 12x12 blocks ordered
-    ``(p, rot, v, omega)`` (default: no process noise).
-    """
-
-    meas_cov: np.ndarray
-    process_cov: Optional[np.ndarray] = None
+    n_nodes: int
+    meas_var: float
+    process_var: float = 0.0
 
     def __post_init__(self):
-        meas = np.asarray(self.meas_cov, dtype=float)
-        object.__setattr__(self, "meas_cov", meas)
-        if meas.ndim != 3 or meas.shape[1:] != (3, 3):
-            raise ValueError("meas_cov must have shape (n_nodes, 3, 3)")
-        if np.any(np.linalg.eigvalsh(meas) <= 0.0):
-            raise ValueError("meas_cov must be positive definite at every node")
-        if self.process_cov is not None:
-            proc = np.asarray(self.process_cov, dtype=float)
-            object.__setattr__(self, "process_cov", proc)
-            if proc.shape != (meas.shape[0], 12, 12):
-                raise ValueError("process_cov must have shape (n_nodes, 12, 12)")
-            if np.any(np.linalg.eigvalsh(proc) < -1e-12):
-                raise ValueError("process_cov must be positive semidefinite")
+        # written as `not x > 0` so that NaN fails too
+        if not self.meas_var > 0.0:
+            raise ValueError("meas_var must be positive")
+        if not self.process_var >= 0.0:
+            raise ValueError("process_var must be nonnegative")
 
     @classmethod
     def isotropic(cls, grid, meas_var=0.02, process_var=0.0):
-        n = grid.n_nodes
-        meas = np.broadcast_to(meas_var * np.eye(3), (n, 3, 3)).copy()
-        proc = None
-        if process_var > 0.0:
-            proc = np.broadcast_to(process_var * np.eye(12), (n, 12, 12)).copy()
-        return cls(meas, proc)
-
-    @property
-    def n_nodes(self):
-        return self.meas_cov.shape[0]
-
-    def meas_full(self):
-        """Dense block-diagonal (3n, 3n) measurement covariance."""
-        return _block_diag(self.meas_cov)
-
-    def process_full(self):
-        """Process covariance mapped to the field-major (12n, 12n) layout."""
-        if self.process_cov is None:
-            return None
-        n = self.n_nodes
-        a = np.arange(12)
-        idx = (a // 3) * 3 * n + 3 * np.arange(n)[:, None] + a % 3  # (n, 12) global rows
-        out = np.zeros((12 * n, 12 * n))
-        out[idx[:, :, None], idx[:, None, :]] = self.process_cov
-        return out
+        return cls(grid.n_nodes, meas_var, process_var)
 
 
 def regularized_gain(covariance, noise, dt):
     """Innovation gain consistent with one measurement per ``dt``.
 
-    ``meas_cov`` is the per-sample covariance of measurements arriving every
-    ``dt``; the equivalent continuous noise intensity is ``meas_cov * dt``,
-    so the innovation rate is ``K = P C^T (dt (R + C P C^T))^-1`` and the
+    ``R = meas_var I`` is the per-sample covariance of measurements arriving
+    every ``dt``; the equivalent continuous noise intensity is ``R dt``, so
+    the innovation rate is ``K = P C^T (dt (R + C P C^T))^-1`` and the
     per-step weight ``dt K`` is the textbook discrete gain.  It reduces to
     ``P C^T (R dt)^-1`` for small covariance and keeps the update contracting
     no matter how large the covariance rides (the operator linearized along a
     driven swing is genuinely unstable, so transients can be large).
     """
     m = 3 * noise.n_nodes
-    s = dt * (noise.meas_full() + covariance[:m, :m])
+    s = dt * (noise.meas_var * np.eye(m) + covariance[:m, :m])
     return covariance[:, :m] @ np.linalg.inv(s)
 
 
@@ -509,7 +473,7 @@ def _cayley_transition(op, dt):
     return apply
 
 
-def riccati_step(est, op, noise, dt, cap=1e6, measurement_dt=None):
+def riccati_step(covariance, op, noise, dt, cap=1e6, measurement_dt=None):
     """Advance the covariance by ``dt`` holding the linearization fixed.
 
     The homogeneous flow is propagated by congruence with the Cayley
@@ -520,12 +484,13 @@ def riccati_step(est, op, noise, dt, cap=1e6, measurement_dt=None):
     through its 6n x 6n Schur complement, factored as a block-tridiagonal
     band over the blocks ``LinearizedOperator`` holds; ``Phi`` is applied and
     never formed, as ``Phi @ (Phi @ P).T`` for the symmetric covariance
-    ``P``.  The contraction and the symmetrization run in place in the two
-    products' buffers; neither ``est`` nor ``op`` is written.
+    ``P``.  Process noise adds ``dt * process_var`` to the predicted
+    diagonal.  The contraction and the symmetrization run in place in the
+    two products' buffers; neither ``covariance`` nor ``op`` is written.
 
-    Measurements are per-sample draws with covariance ``noise.meas_cov``
+    Measurements are per-sample draws with covariance ``R = meas_var I``
     arriving every ``measurement_dt`` (default: one sample per update), so
-    the equivalent continuous intensity is ``meas_cov * measurement_dt``.
+    the equivalent continuous intensity is ``R * measurement_dt``.
     The contraction uses the regularized form
     ``P - dt P C^T (r_int + dt C P C^T)^-1 C P``, which reproduces the
     sequential discrete measurement updates exactly in the scalar stationary
@@ -538,16 +503,14 @@ def riccati_step(est, op, noise, dt, cap=1e6, measurement_dt=None):
         ``I - dt A/2`` is singular (the message names the nodes) or not
         finite.
     """
-    p = est.covariance
     m = 3 * op.n_nodes
     phi = _cayley_transition(op, dt)
-    first, p_new = np.empty(p.shape), np.empty(p.shape)
-    phi(p, first)
+    first, p_new = np.empty(covariance.shape), np.empty(covariance.shape)
+    phi(covariance, first)
     phi(first.T, p_new)
-    q_full = noise.process_full()
-    if q_full is not None:
-        p_new += dt * q_full
-    r_int = (measurement_dt if measurement_dt is not None else dt) * noise.meas_full()
+    if noise.process_var:
+        p_new.reshape(-1)[:: p_new.shape[0] + 1] += dt * noise.process_var
+    r_int = (measurement_dt if measurement_dt is not None else dt) * (noise.meas_var * np.eye(m))
     s = r_int + dt * p_new[:m, :m]
     gain_reg = p_new[:, :m] @ np.linalg.inv(s)
     # the first product is spent: it takes the correction, then the transpose
@@ -588,7 +551,7 @@ def filter_update(
         # between refreshes the covariance and the gain are held
         covariance = est.covariance
         gain = est.gain
-    elif noise.process_cov is None and not est.covariance.any():
+    elif not noise.process_var and not est.covariance.any():
         # zero prior and no process noise: the covariance stays zero and the
         # filter degenerates to pure model replay; skip the Riccati work
         covariance = est.covariance
@@ -596,7 +559,7 @@ def filter_update(
     else:
         op = linearize_dynamics(est.estimate, wrench(est.step_count * cfg.dt), params, grid)
         covariance = riccati_step(
-            est,
+            est.covariance,
             op,
             noise,
             riccati_stride * cfg.dt,

@@ -117,6 +117,8 @@ class RunConfig:
         for name in ("log_every", "snapshot_every", "riccati_stride"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         self.rod_params()  # validates the physical constants
         self.integrator()  # validates dt / scheme / reorthonormalization
         grid = self.grid()  # validates ds
@@ -518,12 +520,13 @@ def run_closed_loop(cfg, out_dir=None):
                 )
             estimator = estimator.advanced(est_state, covariance, gain)
         if n_steps > 0:
-            t_end = n_steps * cfg.dt
-            records.append(compute_metrics(t_end, plant, estimator.estimate, traj, gains, grid))
-            snapshots.append(Snapshot(t_end, plant.copy(), estimator.estimate.copy()))
+            t = n_steps * cfg.dt
+            records.append(compute_metrics(t, plant, estimator.estimate, traj, gains, grid))
+            snapshots.append(Snapshot(t, plant.copy(), estimator.estimate.copy()))
     except RUN_ABORTS:
-        # dump the last states that were still finite for post-mortem
-        snapshots.append(Snapshot(t, plant.copy(), estimator.estimate.copy()))
+        # the last finite states, for post-mortem, unless this step's snapshot holds them
+        if not snapshots or snapshots[-1].t != t:
+            snapshots.append(Snapshot(t, plant.copy(), estimator.estimate.copy()))
         if out_dir is not None:
             result.written = emit_csv(records, snapshots, cfg, out_dir, grid, status="aborted")
         raise
@@ -574,8 +577,12 @@ def emit_csv(records, snapshots, cfg, out_dir, grid, status="completed"):
         metrics_path.write_text("\n".join(lines) + "\n")
         written.append(metrics_path)
 
+        times = {snap.t for snap in snapshots}
+        digits = 6  # or the fewest more that keep distinct snapshot times apart
+        while len({f"{t:.{digits}f}" for t in times}) < len(times):
+            digits += 1
         for snap in snapshots:
-            tag = f"{snap.t:.6f}s"
+            tag = f"{snap.t:.{digits}f}s"
             for label, state in (("state", snap.state), ("estimate", snap.estimate)):
                 path = out / f"snapshot_{tag}_{label}.csv"
                 path.write_text(

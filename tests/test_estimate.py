@@ -86,23 +86,10 @@ def lu_reference_riccati(p, op, noise, dt, measurement_dt):
     plus = np.eye(dim) + half
     x = scipy.linalg.lu_solve(lu, plus @ p)
     p_pred = scipy.linalg.lu_solve(lu, plus @ x.T)
-    s = measurement_dt * noise.meas_full() + dt * p_pred[:m, :m]
+    s = measurement_dt * (noise.meas_var * np.eye(m)) + dt * p_pred[:m, :m]
     gain_reg = np.linalg.solve(s.T, p_pred[:, :m].T).T
     p_new = p_pred - dt * gain_reg @ p_pred[:m, :]
     return 0.5 * (p_new + p_new.T)
-
-
-def process_full_reference(noise):
-    """Per-entry copy of the node blocks into the field-major layout."""
-    n = noise.n_nodes
-    out = np.zeros((12 * n, 12 * n))
-    for i in range(n):
-        for a in range(12):
-            ga = (a // 3) * 3 * n + 3 * i + a % 3
-            for b in range(12):
-                gb = (b // 3) * 3 * n + 3 * i + b % 3
-                out[ga, gb] = noise.process_cov[i, a, b]
-    return out
 
 
 @pytest.fixture
@@ -290,37 +277,33 @@ class TestRiccati:
         r_sample = 0.02
         noise = self.make_noise(n, meas_var=r_sample)
         op = LinearizedOperator.zeros(n)
-        state = make_initial_state(Grid(n_nodes=n, ds=0.1), "straight_at_rest")
         p0 = 1.0
-        est = EstimatorState(state, p0 * np.eye(12 * n))
+        p = p0 * np.eye(12 * n)
         dt = 2e-4
         r_int = r_sample * dt
         for k in range(1, 501):
-            est.covariance = riccati_step(est, op, noise, dt)
+            p = riccati_step(p, op, noise, dt)
             expected = p0 / (1.0 + p0 * k * dt / r_int)
-            p_block = np.diagonal(est.covariance)[: 3 * n]
+            p_block = np.diagonal(p)[: 3 * n]
             assert np.max(np.abs(p_block - expected)) < 1e-12 * expected + 1e-15
         # unobserved blocks keep their prior under a zero operator
-        assert np.allclose(np.diagonal(est.covariance)[3 * n :], p0, atol=1e-12)
+        assert np.allclose(np.diagonal(p)[3 * n :], p0, atol=1e-12)
 
     def test_zero_fixed_point(self):
         n = 4
         noise = self.make_noise(n)
         op = LinearizedOperator.zeros(n)
-        state = make_initial_state(Grid(n_nodes=n, ds=0.1), "straight_at_rest")
-        est = EstimatorState(state, np.zeros((12 * n, 12 * n)))
-        assert np.max(np.abs(riccati_step(est, op, noise, 2e-4))) == 0.0
+        assert np.max(np.abs(riccati_step(np.zeros((12 * n, 12 * n)), op, noise, 2e-4))) == 0.0
 
     def test_monotone_position_variance_decrease(self):
         n = 4
         noise = self.make_noise(n)
         op = LinearizedOperator.zeros(n)
-        state = make_initial_state(Grid(n_nodes=n, ds=0.1), "straight_at_rest")
-        est = EstimatorState(state, 0.5 * np.eye(12 * n))
-        prev = np.diagonal(est.covariance)[: 3 * n].copy()
+        p = 0.5 * np.eye(12 * n)
+        prev = np.diagonal(p)[: 3 * n].copy()
         for _ in range(100):
-            est.covariance = riccati_step(est, op, noise, 2e-4)
-            now = np.diagonal(est.covariance)[: 3 * n]
+            p = riccati_step(p, op, noise, 2e-4)
+            now = np.diagonal(p)[: 3 * n]
             assert np.all(now < prev)
             prev = now.copy()
 
@@ -333,46 +316,40 @@ class TestRiccati:
         wrench = Wrench.zero(grid.n_nodes)
         op = linearize_dynamics(state, wrench, params, grid)
         noise = NoiseModel.isotropic(grid, meas_var=0.02)
-        est = EstimatorState(state, 1e-4 * np.eye(12 * grid.n_nodes))
+        p = 1e-4 * np.eye(12 * grid.n_nodes)
         for _ in range(1000):
-            est.covariance = riccati_step(est, op, noise, 2e-4)
-        asym = np.max(np.abs(est.covariance - est.covariance.T))
+            p = riccati_step(p, op, noise, 2e-4)
+        asym = np.max(np.abs(p - p.T))
         assert asym < 1e-9
-        assert np.linalg.eigvalsh(est.covariance).min() > -1e-8
-        est.estimate.validate()
+        assert np.linalg.eigvalsh(p).min() > -1e-8
 
     def test_process_noise_feeds_covariance(self):
         n = 4
         grid = Grid(n_nodes=n, ds=0.1)
         noise = NoiseModel.isotropic(grid, meas_var=1e6, process_var=1.0)
         op = LinearizedOperator.zeros(n)
-        state = make_initial_state(grid, "straight_at_rest")
-        est = EstimatorState(state, np.zeros((12 * n, 12 * n)))
-        cov = riccati_step(est, op, noise, 1e-3)
+        cov = riccati_step(np.zeros((12 * n, 12 * n)), op, noise, 1e-3)
         assert np.allclose(np.diagonal(cov), 1e-3, rtol=1e-6)
 
     def test_blowup_detected(self):
         n = 4
         noise = self.make_noise(n)
         op = LinearizedOperator.zeros(n)
-        state = make_initial_state(Grid(n_nodes=n, ds=0.1), "straight_at_rest")
-        est = EstimatorState(state, 2e6 * np.eye(12 * n))
         with pytest.raises(CovarianceBlowup):
-            riccati_step(est, op, noise, 2e-4)
+            riccati_step(2e6 * np.eye(12 * n), op, noise, 2e-4)
 
     @pytest.mark.parametrize("where", ["prior", "operator"])
     def test_nan_input_raises_blowup(self, where):
         n = 4
         noise = self.make_noise(n)
         op = LinearizedOperator.zeros(n)
-        state = make_initial_state(Grid(n_nodes=n, ds=0.1), "straight_at_rest")
         prior = np.eye(12 * n)
         if where == "prior":
             prior[5, 5] = np.nan
         else:
             op.xx[1, 2, 2] = np.nan  # entry (5, 5) of the dense operator
         with pytest.raises(CovarianceBlowup, match="non-finite"):
-            riccati_step(EstimatorState(state, prior), op, noise, 2e-4)
+            riccati_step(prior, op, noise, 2e-4)
 
     def test_singular_transition_raises_blowup(self):
         n = 4
@@ -380,9 +357,8 @@ class TestRiccati:
         noise = self.make_noise(n)
         op = LinearizedOperator.zeros(n)
         op.xx[2, 1, 1] = 2.0 / dt  # entry (7, 7): I - dt A/2 has a zero pivot
-        state = make_initial_state(Grid(n_nodes=n, ds=0.1), "straight_at_rest")
         with pytest.raises(CovarianceBlowup, match="singular"):
-            riccati_step(EstimatorState(state, np.eye(12 * n)), op, noise, dt)
+            riccati_step(np.eye(12 * n), op, noise, dt)
 
     @pytest.mark.parametrize("n_nodes", [21, 41])
     def test_matches_lu_congruence_reference(self, n_nodes, ref_params, rng):
@@ -403,22 +379,23 @@ class TestRiccati:
         for _ in range(3):  # correlate the prior the way live refreshes do
             p = lu_reference_riccati(p, op, noise, dt, meas_dt)
         expected = lu_reference_riccati(p, op, noise, dt, meas_dt)
-        actual = riccati_step(EstimatorState(state, p), op, noise, dt, measurement_dt=meas_dt)
+        actual = riccati_step(p, op, noise, dt, measurement_dt=meas_dt)
         assert np.max(np.abs(actual - expected)) / np.max(np.abs(expected)) <= 1e-10
 
 
-def dense_cayley_riccati(p, op, noise, dt, measurement_dt):
+def dense_cayley_riccati(p, op, noise, dt, measurement_dt, q=0.0):
     """Riccati refresh with the Cayley transition formed densely.
 
     ``Phi = 2 (I - dt A/2)^-1 - I`` from one (12n, 12n) inverse, applied as
-    ``(Phi P) Phi^T``, followed by the same regularized contraction and
-    symmetrization as ``riccati_step`` (no cap), with the gain from a solve.
+    ``(Phi P) Phi^T``, plus the process noise ``dt q I``, followed by the same
+    regularized contraction and symmetrization as ``riccati_step`` (no cap),
+    with the gain from a solve.
     """
     dim = p.shape[0]
     m = 3 * op.n_nodes
     phi = 2.0 * scipy.linalg.inv(np.eye(dim) - (0.5 * dt) * op.dense) - np.eye(dim)
-    p_pred = (phi @ p) @ phi.T
-    s = measurement_dt * noise.meas_full() + dt * p_pred[:m, :m]
+    p_pred = (phi @ p) @ phi.T + dt * q * np.eye(dim)
+    s = measurement_dt * (noise.meas_var * np.eye(m)) + dt * p_pred[:m, :m]
     gain_reg = np.linalg.solve(s.T, p_pred[:, :m].T).T
     p_new = p_pred - dt * gain_reg @ p_pred[:m, :]
     return 0.5 * (p_new + p_new.T)
@@ -468,9 +445,18 @@ class TestStructuredTransition:
         noise = NoiseModel.isotropic(grid, meas_var=0.02)
         p = self.correlated_prior(op, noise)
         expected = dense_cayley_riccati(p, op, noise, self.DT, self.MEAS_DT)
-        actual = riccati_step(
-            EstimatorState(state, p), op, noise, self.DT, measurement_dt=self.MEAS_DT
-        )
+        actual = riccati_step(p, op, noise, self.DT, measurement_dt=self.MEAS_DT)
+        assert np.max(np.abs(actual - expected)) / np.max(np.abs(expected)) <= 1e-12
+
+    def test_process_noise_matches_dense_transition(self, ref_params, rng):
+        grid, _, op = perturbed_swing_operator(21, ref_params, rng)
+        noise = NoiseModel.isotropic(grid, meas_var=0.02, process_var=1e-6)
+        p = self.correlated_prior(op, noise)
+        expected = dense_cayley_riccati(p, op, noise, self.DT, self.MEAS_DT, q=noise.process_var)
+        actual = riccati_step(p, op, noise, self.DT, measurement_dt=self.MEAS_DT)
+        quiet = NoiseModel.isotropic(grid, meas_var=0.02)
+        without = riccati_step(p, op, quiet, self.DT, measurement_dt=self.MEAS_DT)
+        assert not np.array_equal(actual, without)  # the process noise is live
         assert np.max(np.abs(actual - expected)) / np.max(np.abs(expected)) <= 1e-12
 
     @pytest.mark.parametrize("n_nodes", [11, 21])
@@ -483,23 +469,22 @@ class TestStructuredTransition:
                 assert np.any(op.dense[rows, cols])  # every block of the pattern is live
 
     def test_refresh_leaves_its_inputs_unchanged(self, ref_params, rng):
-        grid, state, op = perturbed_swing_operator(21, ref_params, rng)
-        noise = NoiseModel.isotropic(grid, meas_var=0.02)
-        est = EstimatorState(state, self.correlated_prior(op, noise))
-        before = [a.tobytes() for a in (est.covariance, *op)]
-        p = riccati_step(est, op, noise, self.DT, measurement_dt=self.MEAS_DT)
-        assert [a.tobytes() for a in (est.covariance, *op)] == before
-        assert not np.shares_memory(p, est.covariance)
+        grid, _, op = perturbed_swing_operator(21, ref_params, rng)
+        noise = NoiseModel.isotropic(grid, meas_var=0.02, process_var=1e-6)
+        prior = self.correlated_prior(op, noise)
+        before = [a.tobytes() for a in (prior, *op)]
+        p = riccati_step(prior, op, noise, self.DT, measurement_dt=self.MEAS_DT)
+        assert [a.tobytes() for a in (prior, *op)] == before
+        assert not np.shares_memory(p, prior)
         assert np.array_equal(p, p.T)
 
     def test_singular_schur_complement_raises_blowup(self):
         n = 4
         op = LinearizedOperator.zeros(n)
         op.zz[1, 1, 1] = 2.0 / self.DT  # v row 6n + 4 on the diagonal: S has a zero pivot
-        state = make_initial_state(Grid(n_nodes=n, ds=0.1), "straight_at_rest")
         noise = NoiseModel.isotropic(Grid(n_nodes=n, ds=0.1))
         with pytest.raises(CovarianceBlowup, match="singular"):
-            riccati_step(EstimatorState(state, np.eye(12 * n)), op, noise, self.DT)
+            riccati_step(np.eye(12 * n), op, noise, self.DT)
 
     def test_overflowing_schur_complement_raises_blowup(self):
         n = 4
@@ -507,72 +492,69 @@ class TestStructuredTransition:
         # finite and on the pattern (a v row's p column and back), but the
         # product E D1^-1 C in S = D2 - E D1^-1 C overflows
         op.zx[4, 4] = op.xz[4] = 1e300  # entries (6n + 4, 4) and (4, 6n + 4)
-        state = make_initial_state(Grid(n_nodes=n, ds=0.1), "straight_at_rest")
         noise = NoiseModel.isotropic(Grid(n_nodes=n, ds=0.1))
         with pytest.warns(RuntimeWarning, match="overflow"):
             with pytest.raises(CovarianceBlowup, match="non-finite transition .* infs or NaNs"):
-                riccati_step(EstimatorState(state, np.eye(12 * n)), op, noise, self.DT)
+                riccati_step(np.eye(12 * n), op, noise, self.DT)
 
-    def assert_matches_dense(self, grid, state, op):
+    def assert_matches_dense(self, grid, op):
         noise = NoiseModel.isotropic(grid, meas_var=0.02)
         p = self.correlated_prior(op, noise)
         expected = dense_cayley_riccati(p, op, noise, self.DT, self.MEAS_DT)
-        actual = riccati_step(
-            EstimatorState(state, p), op, noise, self.DT, measurement_dt=self.MEAS_DT
-        )
+        actual = riccati_step(p, op, noise, self.DT, measurement_dt=self.MEAS_DT)
         assert np.max(np.abs(actual - expected)) / np.max(np.abs(expected)) <= 1e-12
 
     # the operator reaches 3 nodes, so these leave the last run of 3 padded
     @pytest.mark.parametrize("n_nodes", [20, 22])
     def test_padded_last_run_matches_dense_transition(self, n_nodes, ref_params, rng):
-        grid, state, op = perturbed_swing_operator(n_nodes, ref_params, rng)
+        grid, _, op = perturbed_swing_operator(n_nodes, ref_params, rng)
         assert n_nodes % 3
-        self.assert_matches_dense(grid, state, op)
+        self.assert_matches_dense(grid, op)
 
     # a v row against a p column 7 nodes away makes runs of 7 nodes; at n = 9
     # the last run is padded and the row is the clamped node's, here made live
     @pytest.mark.parametrize(("n_nodes", "row_node", "col_node"), [(21, 10, 3), (9, 0, 7)])
     def test_reach_is_read_from_the_operator(self, n_nodes, row_node, col_node, ref_params, rng):
-        grid, state, op = perturbed_swing_operator(n_nodes, ref_params, rng)
+        grid, _, op = perturbed_swing_operator(n_nodes, ref_params, rng)
         op.zx[3 * row_node, 3 * col_node + 1] = 0.1 * np.max(np.abs(op.zx))
         op.xz[3 * row_node] = 1.0  # p rate from v; 1 already off node 0
-        self.assert_matches_dense(grid, state, op)
+        self.assert_matches_dense(grid, op)
 
     def test_dense_coupling_matches_dense_transition(self, ref_params, rng):
-        grid, state, op = perturbed_swing_operator(11, ref_params, rng)
+        grid, _, op = perturbed_swing_operator(11, ref_params, rng)
         op.zx[...] += 1e4 * rng.normal(size=op.zx.shape)
-        self.assert_matches_dense(grid, state, op)
+        self.assert_matches_dense(grid, op)
 
     def test_singular_pivot_names_its_run(self):
         n = 8
         op = LinearizedOperator.zeros(n)
         op.zx[3 * 3, 3 * 1] = 1.0  # couples nodes 3 and 1: runs of 2 nodes
         op.zz[5, 1, 1] = 2.0 / self.DT  # zero pivot, node 5
-        state = make_initial_state(Grid(n_nodes=n, ds=0.1), "straight_at_rest")
         noise = NoiseModel.isotropic(Grid(n_nodes=n, ds=0.1))
         with pytest.raises(CovarianceBlowup, match="singular transition I - dt A/2 at nodes 4–5"):
-            riccati_step(EstimatorState(state, np.eye(12 * n)), op, noise, self.DT)
+            riccati_step(np.eye(12 * n), op, noise, self.DT)
 
     def test_regularized_gain_matches_solve_form(self, ref_params, rng):
         grid, _, op = perturbed_swing_operator(21, ref_params, rng)
         noise = NoiseModel.isotropic(grid, meas_var=0.02)
         p = self.correlated_prior(op, noise)
         m = 3 * grid.n_nodes
-        s = self.MEAS_DT * (noise.meas_full() + p[:m, :m])
+        s = self.MEAS_DT * (noise.meas_var * np.eye(m) + p[:m, :m])
         expected = np.linalg.solve(s.T, p[:, :m].T).T
         actual = regularized_gain(p, noise, self.MEAS_DT)
         np.testing.assert_allclose(actual, expected, rtol=1e-12, atol=0.0)
 
 
 class TestNoiseModel:
-    def test_process_full_matches_per_entry_copy(self, rng):
-        grid = Grid(n_nodes=5, ds=0.1)
-        factors = rng.normal(size=(5, 12, 12))
-        noise = NoiseModel(
-            np.broadcast_to(0.02 * np.eye(3), (5, 3, 3)).copy(),
-            factors @ factors.transpose(0, 2, 1),
-        )
-        assert np.array_equal(noise.process_full(), process_full_reference(noise))
+    @pytest.mark.parametrize("meas_var", [0.0, -1.0, np.nan])
+    def test_meas_var_must_be_positive(self, meas_var):
+        with pytest.raises(ValueError, match="meas_var must be positive"):
+            NoiseModel(5, meas_var)
+
+    @pytest.mark.parametrize("process_var", [-1e-6, np.nan])
+    def test_process_var_must_be_nonnegative(self, process_var):
+        with pytest.raises(ValueError, match="process_var must be nonnegative"):
+            NoiseModel(5, 0.02, process_var)
 
 
 class TestKalmanGain:

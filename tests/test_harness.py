@@ -34,14 +34,14 @@ from softrod.harness import (
 )
 
 
-def fail_second_log_so3(monkeypatch):
-    """Make the metrics' rotation log raise NearPiRotation from its second call on."""
+def fail_log_so3(monkeypatch, from_call=2):
+    """Make the metrics' rotation log raise NearPiRotation from call ``from_call`` on."""
     real = harness.log_so3
     calls = []
 
     def log_so3(rot):
         calls.append(None)
-        if len(calls) > 1:
+        if len(calls) >= from_call:
             raise NearPiRotation("forced near-pi relative rotation")
         return real(rot)
 
@@ -79,6 +79,9 @@ class TestRunConfig:
             RunConfig(log_every=0)
         with pytest.raises(ValueError):
             RunConfig(youngs_modulus=-2.0)
+        # a negative seed used to fail only in np.random.default_rng, mid-sweep
+        with pytest.raises(ValueError, match="^seed must be >= 0$"):
+            RunConfig(seed=-1)
 
     # each of these used to be accepted and then misread: a negative process
     # variance as zero process noise, a zero cap as a diverged filter on every
@@ -352,12 +355,51 @@ class TestClosedLoop:
         assert "check the time step" in str(info.value.__cause__)
 
     def test_near_pi_rotation_aborts_with_post_mortem(self, tmp_path, monkeypatch):
-        fail_second_log_so3(monkeypatch)
+        fail_log_so3(monkeypatch)
         out = tmp_path / "near_pi"
         with pytest.raises(NearPiRotation):
             run_closed_loop(quick_config(), out_dir=out)
         assert "status=aborted" in (out / "report.txt").read_text()
         assert any(p.name.startswith("snapshot_") for p in out.iterdir())
+
+    def test_abort_in_the_final_record_snapshots_at_the_end_time(self, tmp_path, monkeypatch):
+        # records at steps 0, 25, ..., 175, then the final one at t_end = 0.04
+        cfg = quick_config(snapshot_every=199, initial_covariance=0.0)
+        run_closed_loop(cfg, out_dir=tmp_path / "clean")
+        fail_log_so3(monkeypatch, from_call=9)
+        with pytest.raises(NearPiRotation):
+            run_closed_loop(cfg, out_dir=tmp_path / "aborted")
+        for label in ("state", "estimate"):
+            for tag in ("0.039800s", "0.040000s"):
+                name = f"snapshot_{tag}_{label}.csv"
+                clean, aborted = (tmp_path / run / name for run in ("clean", "aborted"))
+                assert aborted.read_bytes() == clean.read_bytes(), name
+
+    def test_abort_on_a_snapshot_step_adds_no_second_snapshot(self, tmp_path, monkeypatch):
+        real = harness.filter_update
+        calls = []
+
+        def filter_update(*args, **kwargs):
+            calls.append(None)
+            if len(calls) > 10:
+                raise CovarianceBlowup("forced divergence at step 10")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "filter_update", filter_update)
+        written = []  # the paths emit_csv returns; an abort returns no result
+
+        def emit(*args, **kwargs):
+            written.extend(emit_csv(*args, **kwargs))
+            return written
+
+        monkeypatch.setattr(harness, "emit_csv", emit)
+        with pytest.raises(CovarianceBlowup):
+            run_closed_loop(quick_config(snapshot_every=10), out_dir=tmp_path)
+        assert len(written) == len(set(written)) == 7
+        assert sorted(p.name for p in tmp_path.glob("snapshot_*_state.csv")) == [
+            "snapshot_0.000000s_state.csv",
+            "snapshot_0.002000s_state.csv",
+        ]
 
 
 class TestEmitCsv:
@@ -449,6 +491,23 @@ class TestEmitCsv:
                         else:
                             entry = fields[name][i, "xyz".index(axis)]
                         assert cell == repr(float(entry)), (label, i, column)
+
+    def test_snapshot_times_under_a_microsecond_apart_keep_their_files(self, tmp_path):
+        # a stiff rod's CFL bound forces steps below 1 us; at 6 decimals the
+        # six snapshot times would share three file names
+        cfg = RunConfig(
+            dt=2e-7,
+            duration=1e-6,
+            snapshot_every=1,
+            log_every=1,
+            feedback="true",
+            initial_covariance=0.0,
+        )
+        result = run_closed_loop(cfg, out_dir=tmp_path)
+        assert len(result.snapshots) == 6
+        assert len(result.written) == len(set(result.written)) == 15
+        assert len(list(tmp_path.iterdir())) == 15
+        assert (tmp_path / "snapshot_0.0000002s_state.csv").exists()
 
     def test_offline_metric_recompute_matches_log(self, tmp_path):
         cfg = quick_config(duration=0.05, log_every=25, snapshot_every=100, initial_covariance=0.0)
@@ -544,7 +603,7 @@ class TestCli:
         assert "unknown config key" in capsys.readouterr().err
 
     def test_near_pi_rotation_is_an_aborted_run(self, tmp_path, monkeypatch, capsys):
-        fail_second_log_so3(monkeypatch)
+        fail_log_so3(monkeypatch)
         rc = cli_main(["run", "--out", str(tmp_path / "out"), "--duration", "0.02"])
         assert rc == 1
         assert "run aborted" in capsys.readouterr().err
