@@ -6,7 +6,6 @@ from .control import (
     TrackingErrors,
     TrajectoryPoint,
     check_tracking_basin,
-    check_trajectory_consistency,
     feedforward_transform,
     lyapunov_value,
     tracking_errors,
@@ -64,7 +63,6 @@ from .rod import (
     StateRates,
     Wrench,
     dynamics_rhs,
-    internal_loads,
     make_initial_state,
     strain_profile,
     strains,

@@ -14,7 +14,7 @@ from .rod import make_initial_state
 
 def _base_config(args):
     cfg = load_config(args.config) if args.config else RunConfig()
-    flags = {name: getattr(args, name, None) for name in ("seed", "duration", "feedback", "scheme")}
+    flags = {name: getattr(args, name, None) for name in ("seed", "duration", "feedback")}
     return dataclasses.replace(cfg, **{k: v for k, v in flags.items() if v is not None})
 
 
@@ -80,7 +80,6 @@ def build_parser():
     run.add_argument("--seed", type=int)
     run.add_argument("--duration", type=float, help="simulated seconds")
     run.add_argument("--feedback", choices=("true", "estimated"))
-    run.add_argument("--scheme", choices=("euler", "rk4"))
     run.set_defaults(func=_cmd_run)
 
     check = sub.add_parser("check", help="evaluate the pre-run gates only")

@@ -17,9 +17,6 @@ import numpy as np
 from .geometry import exp_so3, project_so3
 from .rod import RodState, StateRates
 
-SCHEMES = ("euler", "rk4")
-
-
 class GridTooSmall(ValueError):
     """Grid has too few nodes for the requested stencil."""
 
@@ -49,16 +46,10 @@ def d_ds(field, grid):
 @dataclass(frozen=True)
 class IntegratorConfig:
     dt: float
-    scheme: str = "rk4"
-    reorthonormalize_every: int = 100
 
     def __post_init__(self):
         if not self.dt > 0.0:
             raise ValueError("dt must be positive")
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"scheme must be one of {SCHEMES}")
-        if self.reorthonormalize_every < 1:
-            raise ValueError("reorthonormalize_every must be >= 1")
 
 
 def _advance(state, rates, dt):
@@ -70,29 +61,29 @@ def _advance(state, rates, dt):
     )
 
 
+REORTHONORMALIZE_EVERY = 100
+
+
 def step(state, rhs_fn, cfg, step_index=0, t=0.0):
-    """One explicit time step; rotations advance by ``R exp(dt * w_eff)``.
+    """One RK4 time step; rotations advance by ``R exp(dt * w_eff)``.
 
     ``rhs_fn(state, t)`` is evaluated at the proper stage states and stage
-    times.  ``rk4`` combines the rotation tangents in the tangent space;
-    flat fields keep the classical fourth order, the rotation update is
-    third order locally when the angular rate does not commute with its
+    times.  The rotation tangents are combined in the tangent space: flat
+    fields keep the classical fourth order, the rotation update is third
+    order locally when the angular rate does not commute with its
     derivative (no commutator correction).  Every
-    ``cfg.reorthonormalize_every``-th step (by ``step_index``) the rotation
+    ``REORTHONORMALIZE_EVERY``-th step (by ``step_index``) the rotation
     field is polished with the polar projection to absorb rounding.  The
     fields may carry a leading batch axis, as in ``step_coupled``.
     """
     dt = cfg.dt
-    if cfg.scheme == "euler":
-        new = _advance(state, rhs_fn(state, t), dt)
-    else:
-        k1 = rhs_fn(state, t)
-        k2 = rhs_fn(_advance(state, k1, dt / 2.0), t + dt / 2.0)
-        k3 = rhs_fn(_advance(state, k2, dt / 2.0), t + dt / 2.0)
-        k4 = rhs_fn(_advance(state, k3, dt), t + dt)
-        combo = StateRates((k1.data + 2.0 * k2.data + 2.0 * k3.data + k4.data) / 6.0)
-        new = _advance(state, combo, dt)
-    if (step_index + 1) % cfg.reorthonormalize_every == 0:
+    k1 = rhs_fn(state, t)
+    k2 = rhs_fn(_advance(state, k1, dt / 2.0), t + dt / 2.0)
+    k3 = rhs_fn(_advance(state, k2, dt / 2.0), t + dt / 2.0)
+    k4 = rhs_fn(_advance(state, k3, dt), t + dt)
+    combo = StateRates((k1.data + 2.0 * k2.data + 2.0 * k3.data + k4.data) / 6.0)
+    new = _advance(state, combo, dt)
+    if (step_index + 1) % REORTHONORMALIZE_EVERY == 0:
         new.rot = project_so3(new.rot)
     return new
 

@@ -314,7 +314,10 @@ class EstimatorState:
         """The filter state one step on, after a finiteness check of each field of ``estimate``."""
         for name, values in zip(FIELDS, estimate):
             if not np.isfinite(values).all():
-                raise NonFiniteState(f"estimator {name} field blew up")
+                node = np.argwhere(~np.isfinite(values))[0, 0]
+                raise NonFiniteState(
+                    f"estimator {name} field blew up at node {node}", f"{name} at node {node}"
+                )
         return EstimatorState(estimate, covariance, self.step_count + 1, gain)
 
 
@@ -499,7 +502,8 @@ def riccati_step(covariance, op, noise, dt, cap=1e6, measurement_dt=None):
     Raises
     ------
     CovarianceBlowup
-        If any diagonal entry exceeds ``cap`` or is not finite, or if
+        If any diagonal entry exceeds ``cap`` or is not finite (the message
+        names the field and node of the first one, field-major), or if
         ``I - dt A/2`` is singular (the message names the nodes) or not
         finite.
     """
@@ -520,8 +524,12 @@ def riccati_step(covariance, op, noise, dt, cap=1e6, measurement_dt=None):
     p_new *= 0.5
     diag = np.diagonal(p_new)
     if not np.all(diag <= cap):
-        cause = f"exceeded cap {cap:.1e}" if np.all(np.isfinite(diag)) else "is non-finite"
-        raise CovarianceBlowup(f"covariance diagonal {cause}; filter diverged")
+        entry = np.flatnonzero(~(diag <= cap))[0]
+        field, node = divmod(entry // 3, op.n_nodes)
+        cause = f"exceeded cap {cap:.1e}" if np.isfinite(diag[entry]) else "is non-finite"
+        raise CovarianceBlowup(
+            f"covariance diagonal {cause} at {FIELDS[field]} node {node}; filter diverged"
+        )
     return p_new
 
 
@@ -599,7 +607,7 @@ def ekf_step(
 
     Runs ``filter_update`` and then advances the estimate under the plant
     dynamics, driven by the applied wrench ``wrench_total``, plus the
-    innovation rates using the configured scheme.
+    innovation rates, by one RK4 step.
     """
     covariance, gain, correction = filter_update(
         est,

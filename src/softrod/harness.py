@@ -68,8 +68,6 @@ class RunConfig:
     shear_modulus: float = 1.0e7
     ds: float = 0.025
     dt: float = 2.0e-4
-    scheme: str = "rk4"
-    reorthonormalize_every: int = 100
     kp: float = 1.0
     kv: float = 2.0
     kr: float = 1.0
@@ -120,7 +118,7 @@ class RunConfig:
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         self.rod_params()  # validates the physical constants
-        self.integrator()  # validates dt / scheme / reorthonormalization
+        self.integrator()  # validates dt
         grid = self.grid()  # validates ds
         self.gains(grid)  # validates the gains and their coupling bound
         self.trajectory(grid)  # validates amplitude and frequency
@@ -138,11 +136,7 @@ class RunConfig:
         return Grid.from_length(self.length, self.ds)
 
     def integrator(self):
-        return IntegratorConfig(
-            dt=self.dt,
-            scheme=self.scheme,
-            reorthonormalize_every=self.reorthonormalize_every,
-        )
+        return IntegratorConfig(dt=self.dt)
 
     def gains(self, grid):
         return GainProfile.constant(

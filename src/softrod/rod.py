@@ -263,13 +263,6 @@ def strain_profile(state, grid):
     return StrainProfile(p_s, rot_s, q, u, q_s, u_s)
 
 
-def internal_loads(q, u, rot, params):
-    """Internal force/moment fields ``n = R K_l (q - q_ref)``, ``m = R K_a (u - u_ref)``."""
-    dn = (q - REFERENCE_STRETCH) @ params.stiffness_linear.T
-    dm = (u - REFERENCE_TWIST) @ params.stiffness_angular.T
-    return _rotate_to_global(rot, dn), _rotate_to_global(rot, dm)
-
-
 def load_terms(state, profile, params):
     """Elastic/Coriolis resultants shared by the plant and the cancelling controller.
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from softrod import Grid, RodParams, RodState, make_initial_state
-from softrod.geometry import exp_so3
+from softrod.geometry import axial, exp_so3
 
 
 @pytest.fixture
@@ -70,6 +70,26 @@ def smooth_random_state(grid, rng, amp=0.2):
     v[0] = 0.0
     omega[0] = 0.0
     return RodState(p, rot, v, omega)
+
+
+def check_trajectory_consistency(traj, s, times, h=1e-5):
+    """Max kinematic-consistency residuals of a trajectory by central differences.
+
+    Returns ``(max |p_t - v|, max |vee(R^T R_t) - omega|)`` over the sampled
+    times; both vanish to O(h^2) for a consistent trajectory.
+    """
+    worst_p = 0.0
+    worst_rot = 0.0
+    for t in times:
+        plus = traj.evaluate(s, t + h)
+        minus = traj.evaluate(s, t - h)
+        now = traj.evaluate(s, t)
+        p_t = (plus.p - minus.p) / (2.0 * h)
+        worst_p = max(worst_p, float(np.max(np.abs(p_t - now.v))))
+        rot_t = (plus.rot - minus.rot) / (2.0 * h)
+        spin = np.einsum("nji,njk->nik", now.rot, rot_t)
+        worst_rot = max(worst_rot, float(np.max(np.abs(axial(spin) - now.omega))))
+    return worst_p, worst_rot
 
 
 @pytest.fixture

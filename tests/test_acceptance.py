@@ -335,7 +335,7 @@ class TestCriterion8:
         state0 = make_initial_state(grid, "straight_at_rest")
         state = state0.copy()
         wrench = Wrench.zero(grid.n_nodes)
-        int_cfg = IntegratorConfig(dt=2e-4, scheme="rk4", reorthonormalize_every=100)
+        int_cfg = IntegratorConfig(dt=2e-4)
         for i in range(10_000):
             state = step(state, lambda st, _t: dynamics_rhs(st, wrench, params, grid), int_cfg, step_index=i)
         drift = max(

@@ -7,7 +7,6 @@ from softrod import (
     RodState,
     Wrench,
     check_tracking_basin,
-    check_trajectory_consistency,
     dynamics_rhs,
     feedforward_transform,
     lyapunov_value,
@@ -21,7 +20,7 @@ from softrod.control import position_lyapunov_matrix
 from softrod.geometry import c_matrix, exp_so3
 from softrod.harness import SwingTrajectory
 
-from conftest import random_rotations, smooth_random_state
+from conftest import check_trajectory_consistency, random_rotations, smooth_random_state
 
 
 def state_on_trajectory(traj, grid, t):
@@ -123,7 +122,7 @@ class TestVirtualInputs:
         # the step holds t fixed across stages, leaving an O(h) bias in the
         # central difference; h is small enough to push it below tolerance
         t0, h = 0.4, 1e-7
-        cfg = IntegratorConfig(dt=h, scheme="rk4", reorthonormalize_every=10**9)
+        cfg = IntegratorConfig(dt=h)
         loop = closed_loop_rhs(traj, t0, gains, ref_params, ref_grid, wrench_env)
         x1 = step(state, loop, cfg, t=t0)
         x2 = step(x1, loop, cfg, t=t0 + h)
@@ -281,7 +280,7 @@ class TestLyapunov:
         wrench_env = Wrench.zero(ref_grid.n_nodes)
         state = make_initial_state(ref_grid, "axial_spin")
         dt = 2e-4
-        cfg = IntegratorConfig(dt=dt, scheme="rk4")
+        cfg = IntegratorConfig(dt=dt)
         values = []
         for i in range(2000):
             t = i * dt
@@ -312,7 +311,7 @@ class TestLyapunov:
         twisted.rot[0] = np.eye(3)
         twisted.omega = base.omega + rng.normal(0.0, 0.5, size=(ref_grid.n_nodes, 3))
         twisted.omega[0] = 0.0
-        cfg = IntegratorConfig(dt=2e-4, scheme="rk4")
+        cfg = IntegratorConfig(dt=2e-4)
         a, b = base, twisted
         for i in range(50):
             t = i * cfg.dt

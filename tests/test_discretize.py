@@ -14,7 +14,7 @@ from softrod import (
     step,
     step_coupled,
 )
-from softrod.discretize import GridTooSmall
+from softrod.discretize import REORTHONORMALIZE_EVERY, GridTooSmall
 from softrod.geometry import rotation_defect
 
 from conftest import smooth_random_state
@@ -80,10 +80,6 @@ class TestIntegratorConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             IntegratorConfig(dt=0.0)
-        with pytest.raises(ValueError):
-            IntegratorConfig(dt=1e-3, scheme="leapfrog")
-        with pytest.raises(ValueError):
-            IntegratorConfig(dt=1e-3, reorthonormalize_every=0)
 
 
 class TestStep:
@@ -91,34 +87,32 @@ class TestStep:
         state = make_initial_state(dyadic_grid, "straight_at_rest")
         wrench = Wrench.zero(dyadic_grid.n_nodes)
         rhs = lambda st, _t: dynamics_rhs(st, wrench, ref_params, dyadic_grid)
-        for scheme in ("euler", "rk4"):
-            new = step(state, rhs, IntegratorConfig(dt=2e-4, scheme=scheme))
-            assert np.max(np.abs(new.p - state.p)) < 1e-12
-            assert np.max(np.abs(new.rot - state.rot)) < 1e-12
-            assert np.max(np.abs(new.v)) < 1e-12 and np.max(np.abs(new.omega)) < 1e-12
+        new = step(state, rhs, IntegratorConfig(dt=2e-4))
+        assert np.max(np.abs(new.p - state.p)) < 1e-12
+        assert np.max(np.abs(new.rot - state.rot)) < 1e-12
+        assert np.max(np.abs(new.v)) < 1e-12 and np.max(np.abs(new.omega)) < 1e-12
 
     def test_determinant_preserved_per_step(self, ref_grid, ref_params, rng):
         state = smooth_random_state(ref_grid, rng, amp=0.1)
         wrench = Wrench.zero(ref_grid.n_nodes)
         rhs = lambda st, _t: dynamics_rhs(st, wrench, ref_params, ref_grid)
-        cfg = IntegratorConfig(dt=1e-5, scheme="rk4", reorthonormalize_every=10**9)
-        new = step(state, rhs, cfg)
+        new = step(state, rhs, IntegratorConfig(dt=1e-5))
         _, det_defect = rotation_defect(new.rot)
         assert np.max(det_defect) < 1e-12
 
     @pytest.mark.parametrize(
-        "scheme,min_flat_order,min_rot_order", [("euler", 1.7, 1.7), ("rk4", 4.5, 2.5)]
+        "min_flat_order,min_rot_order", [pytest.param(4.5, 2.5, id="rk4-4.5-2.5")]
     )
-    def test_step_halving_order(self, scheme, min_flat_order, min_rot_order):
-        # flat fields follow the classical scheme order; the multiplicative
+    def test_step_halving_order(self, min_flat_order, min_rot_order):
+        # flat fields follow the classical rk4 order; the multiplicative
         # rotation update combines stage tangents without the commutator
-        # correction, so its rk4 halving order is 3, not 5
+        # correction, so its halving order is 3, not 5
         grid, params, state, wrench = free_spin_setup()
         rhs = lambda st, _t: dynamics_rhs(st, wrench, params, grid)
         flat_diffs, rot_diffs = [], []
         for dt in (0.05, 0.025, 0.0125):
-            cfg = IntegratorConfig(dt=dt, scheme=scheme, reorthonormalize_every=10**9)
-            half = IntegratorConfig(dt=dt / 2, scheme=scheme, reorthonormalize_every=10**9)
+            cfg = IntegratorConfig(dt=dt)
+            half = IntegratorConfig(dt=dt / 2)
             full = step(state, rhs, cfg)
             two = step(step(state, rhs, half), rhs, half)
             flat_diffs.append(np.max(np.abs(full.omega - two.omega)))
@@ -131,7 +125,7 @@ class TestStep:
     def test_rigid_body_energy_drift(self):
         grid, params, state, wrench = free_spin_setup()
         rhs = lambda st, _t: dynamics_rhs(st, wrench, params, grid)
-        cfg = IntegratorConfig(dt=1e-3, scheme="rk4", reorthonormalize_every=100)
+        cfg = IntegratorConfig(dt=1e-3)
         jrho = params.rotational_mass
         energy0 = state.omega[1] @ jrho @ state.omega[1]
         for i in range(10_000):
@@ -142,8 +136,8 @@ class TestStep:
     def test_long_run_orthogonality(self):
         grid, params, state, wrench = free_spin_setup()
         rhs = lambda st, _t: dynamics_rhs(st, wrench, params, grid)
-        cfg = IntegratorConfig(dt=1e-3, scheme="euler", reorthonormalize_every=100)
-        for i in range(100_000):
+        cfg = IntegratorConfig(dt=1e-3)
+        for i in range(25_000):
             state = step(state, rhs, cfg, step_index=i)
         orth, det = rotation_defect(state.rot)
         assert np.max(orth) < 1e-9 and np.max(det) < 1e-9
@@ -151,30 +145,30 @@ class TestStep:
     def test_reorthonormalization_cadence(self, rng):
         grid, params, state, wrench = free_spin_setup()
         # plant a tolerable orthogonality defect and check it is absorbed
-        # exactly on the configured step
+        # exactly on the polishing step
         state.rot[2] = state.rot[2] + 1e-10 * rng.normal(size=(3, 3))
         rhs = lambda st, _t: dynamics_rhs(st, wrench, params, grid)
-        cfg = IntegratorConfig(dt=1e-3, scheme="euler", reorthonormalize_every=5)
-        for i in range(4):
+        cfg = IntegratorConfig(dt=1e-3)
+        for i in range(REORTHONORMALIZE_EVERY - 1):
             state = step(state, rhs, cfg, step_index=i)
             assert rotation_defect(state.rot)[0].max() > 1e-11
-        state = step(state, rhs, cfg, step_index=4)
+        state = step(state, rhs, cfg, step_index=REORTHONORMALIZE_EVERY - 1)
         assert rotation_defect(state.rot)[0].max() < 1e-13
 
 
 class TestStepCoupled:
-    @pytest.mark.parametrize("scheme", ["euler", "rk4"])
-    def test_uncoupled_members_match_solo_steps(self, scheme, ref_grid, ref_params, rng):
+    @pytest.mark.parametrize("steps", [pytest.param(REORTHONORMALIZE_EVERY, id="rk4")])
+    def test_uncoupled_members_match_solo_steps(self, steps, ref_grid, ref_params, rng):
         # the harness replaces the coupled step by a solo plant step when
         # plant and estimate coincide, which is exact only if stacking the
         # members changes no bit of either one's update
         wrench = Wrench.zero(ref_grid.n_nodes)
         rhs = lambda st, _t: dynamics_rhs(st, wrench, ref_params, ref_grid)
         pair_rhs = lambda states, t: tuple(rhs(st, t) for st in states)
-        cfg = IntegratorConfig(dt=1e-5, scheme=scheme, reorthonormalize_every=3)
+        cfg = IntegratorConfig(dt=1e-5)
         solo = [smooth_random_state(ref_grid, rng, amp=0.1) for _ in range(2)]
         pair = tuple(st.copy() for st in solo)
-        for i in range(4):  # step index 2 reorthonormalizes
+        for i in range(steps):  # the last step index polishes
             solo = [step(st, rhs, cfg, step_index=i, t=i * cfg.dt) for st in solo]
             pair = step_coupled(pair, pair_rhs, cfg, step_index=i, t=i * cfg.dt)
         for single, member in zip(solo, pair):

@@ -338,6 +338,16 @@ class TestRiccati:
         with pytest.raises(CovarianceBlowup):
             riccati_step(2e6 * np.eye(12 * n), op, noise, 2e-4)
 
+    @pytest.mark.parametrize("node", [1, 3])
+    def test_blowup_names_the_field_and_node(self, node):
+        n = 4
+        prior = 1e-6 * np.eye(12 * n)
+        prior[9 * n + 3 * node + 1, 9 * n + 3 * node + 1] = 2e6  # omega_y at ``node``
+        with pytest.raises(
+            CovarianceBlowup, match=f"exceeded cap 1.0e\\+06 at omega node {node}; filter diverged"
+        ):
+            riccati_step(prior, LinearizedOperator.zeros(n), self.make_noise(n), 2e-4)
+
     @pytest.mark.parametrize("where", ["prior", "operator"])
     def test_nan_input_raises_blowup(self, where):
         n = 4
@@ -661,18 +671,19 @@ class TestEstimatorStateAdvanced:
         est = EstimatorState.initialize(make_initial_state(grid, "straight_at_rest"))
         bad = est.estimate.copy()
         bad.omega[1, 2] = np.nan
-        with pytest.raises(NonFiniteState, match="estimator omega field"):
+        with pytest.raises(NonFiniteState, match="^estimator omega field blew up at node 1$") as info:
             est.advanced(bad, est.covariance, None)
+        assert info.value.where == "omega at node 1"
 
 
 class TestEkfStep:
-    def setup_run(self, scheme="rk4", n_nodes=11):
+    def setup_run(self, n_nodes=11):
         grid = Grid.from_length(0.5, 0.5 / (n_nodes - 1))
         params = RodParams(
             length=0.5, radius=0.02, density=2000.0, youngs_modulus=3.0e7, shear_modulus=1.0e7
         )
         noise = NoiseModel.isotropic(grid, meas_var=0.02)
-        cfg = IntegratorConfig(dt=2e-4, scheme=scheme)
+        cfg = IntegratorConfig(dt=2e-4)
         return grid, params, noise, cfg
 
     def test_degenerate_filter_replays_plant(self):

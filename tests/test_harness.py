@@ -14,7 +14,6 @@ from softrod import (
     NearPiRotation,
     NonFiniteState,
     RodState,
-    check_trajectory_consistency,
     load_config,
     make_swing_trajectory,
     run_closed_loop,
@@ -32,6 +31,8 @@ from softrod.harness import (
     config_lines,
     emit_csv,
 )
+
+from conftest import check_trajectory_consistency
 
 
 def fail_log_so3(monkeypatch, from_call=2):
@@ -153,7 +154,10 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="unknown config key"):
             load_config(path)
 
-    @pytest.mark.parametrize("line", ["duration=", "seed=abc", "nonsense", "out_dir="])
+    @pytest.mark.parametrize(
+        "line",
+        ["duration=", "seed=abc", "nonsense", "out_dir=", "scheme=rk4", "reorthonormalize_every=100"],
+    )
     def test_bad_config_line_is_reported_with_its_location(self, tmp_path, line):
         path = tmp_path / "bad.cfg"
         path.write_text(f"# reference run\nlength=0.5\n{line}\n")
@@ -167,8 +171,8 @@ class TestRunConfig:
         assert cfg.seed == 3 and cfg.duration == 0.5
 
     def test_overrides(self):
-        cfg = apply_overrides(RunConfig(), ["seed=9", "scheme=euler"])
-        assert cfg.seed == 9 and cfg.scheme == "euler"
+        cfg = apply_overrides(RunConfig(), ["seed=9", "feedback=estimated"])
+        assert cfg.seed == 9 and cfg.feedback == "estimated"
         for bad in ("nonsense", "out_dir="):
             with pytest.raises(ValueError, match="expected key=value"):
                 apply_overrides(RunConfig(), [bad])
@@ -305,7 +309,6 @@ class TestClosedLoop:
         cfg = RunConfig(
             dt=10.0,
             duration=200.0,
-            reorthonormalize_every=1,
             initial_covariance=1e-6,
             log_every=1,
             snapshot_every=1000,
@@ -556,8 +559,6 @@ class TestCli:
                 "0.02",
                 "--feedback",
                 "true",
-                "--scheme",
-                "rk4",
             ]
         )
         assert rc == 0

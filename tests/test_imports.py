@@ -3,9 +3,9 @@
 Every name a package module imports is used in that module: no linter ships
 with the project, so this stdlib-``ast`` check catches imports left behind
 when the code that used them is deleted.  Likewise every module-level
-function and class is referenced somewhere in the package outside its own
-definition (the ``__init__`` re-exports count), which catches helpers
-orphaned by a change.  ``__init__.py`` is skipped (its
+function, class and constant is referenced somewhere in the package outside
+its own definition (the ``__init__`` re-exports count), which catches
+helpers and constants orphaned by a change.  ``__init__.py`` is skipped (its
 imports are the public re-exports), as is ``__future__``.  The third-party
 modules the package imports are exactly its declared runtime dependencies,
 and neither importing the package nor running a live covariance refresh
@@ -42,7 +42,10 @@ def unused_imports(source):
 
 
 def dead_definitions(sources):
-    """``(file, line, name)`` of module-level functions and classes no other code names.
+    """``(file, line, name)`` of module-level definitions no other code names.
+
+    A definition is a function, a class or an assignment to a plain name;
+    dunder names such as ``__version__`` are read from outside and skipped.
 
     ``sources`` maps file names to source text.  A definition is live when
     its name appears as a name, an attribute or an imported name anywhere in
@@ -54,6 +57,13 @@ def dead_definitions(sources):
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 defs.append((fname, node.lineno, node.end_lineno, node.name))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defs.extend(
+                    (fname, node.lineno, node.end_lineno, target.id)
+                    for target in targets
+                    if isinstance(target, ast.Name) and not target.id.startswith("__")
+                )
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 refs.append((fname, node.lineno, node.id))
@@ -102,10 +112,10 @@ def test_every_definition_is_referenced():
 def test_check_flags_a_dead_definition():
     sources = {
         "a.py": "def used():\n    pass\n\ndef unused():\n    return unused()\n\n"
-        "class Kept:\n    pass\n",
+        "class Kept:\n    pass\n\nLIVE = 1\nORPHAN = (LIVE,\n    ORPHAN)\n",
         "b.py": "from .a import Kept\nused()\n",
     }
-    assert dead_definitions(sources) == [("a.py", 4, "unused")]
+    assert dead_definitions(sources) == [("a.py", 4, "unused"), ("a.py", 11, "ORPHAN")]
 
 
 def test_third_party_imports_match_declared_dependencies():

@@ -11,7 +11,6 @@ from softrod import (
     RodState,
     Wrench,
     dynamics_rhs,
-    internal_loads,
     make_initial_state,
     strains,
 )
@@ -136,34 +135,11 @@ class TestStrains:
         assert np.array_equal(q1, q2) and np.array_equal(u1, u2)
 
 
-class TestInternalLoads:
-    def test_zero_at_reference(self, ref_grid, ref_params, straight_state):
-        q, u = strains(straight_state, ref_grid)
-        n, m = internal_loads(q, u, straight_state.rot, ref_params)
-        assert np.max(np.abs(n)) < 1e-8  # stiffness ~ 4e4 amplifies strain rounding
-        assert np.max(np.abs(m)) < 1e-12
-
-    def test_axial_stretch_force(self, ref_params, ref_grid):
-        eps = 1e-3
-        n_nodes = ref_grid.n_nodes
-        q = np.tile([0.0, 0.0, 1.0 + eps], (n_nodes, 1))
-        u = np.zeros((n_nodes, 3))
-        rot = np.broadcast_to(np.eye(3), (n_nodes, 3, 3)).copy()
-        n, m = internal_loads(q, u, rot, ref_params)
-        expected = ref_params.youngs_modulus * ref_params.sigma * eps
-        assert np.allclose(n, [0.0, 0.0, expected], rtol=1e-12)
-        assert np.max(np.abs(m)) == 0.0
-
-    def test_bending_moment(self, ref_params, ref_grid):
-        kappa = 0.8
-        n_nodes = ref_grid.n_nodes
-        q = np.tile([0.0, 0.0, 1.0], (n_nodes, 1))
-        u = np.tile([0.0, kappa, 0.0], (n_nodes, 1))
-        rot = np.broadcast_to(np.eye(3), (n_nodes, 3, 3)).copy()
-        n, m = internal_loads(q, u, rot, ref_params)
-        expected = ref_params.youngs_modulus * ref_params.inertia[1, 1] * kappa
-        assert np.allclose(m, [0.0, expected, 0.0], rtol=1e-12)
-        assert np.max(np.abs(n)) == 0.0
+def constitutive_loads(q, u, rot, params):
+    """Global-frame internal loads ``n = R K_l (q - e3)``, ``m = R K_a u``."""
+    n = (q - REFERENCE_STRETCH) @ params.stiffness_linear.T
+    m = u @ params.stiffness_angular.T
+    return np.einsum("nij,nj->ni", rot, n), np.einsum("nij,nj->ni", rot, m)
 
 
 def three_cross_moment(state, profile, params):
@@ -234,7 +210,7 @@ class TestDynamics:
     def test_frame_covariance(self, ref_grid, ref_params, rng):
         state = smooth_random_state(ref_grid, rng)
         q1, u1 = strains(state, ref_grid)
-        n1, m1 = internal_loads(q1, u1, state.rot, ref_params)
+        n1, m1 = constitutive_loads(q1, u1, state.rot, ref_params)
         rot_q = exp_so3(np.array([0.4, -0.3, 0.9]))
         turned = state.copy()
         turned.p = state.p @ rot_q.T
@@ -242,7 +218,7 @@ class TestDynamics:
         q2, u2 = strains(turned, ref_grid)
         assert np.max(np.abs(q2 - q1)) < 1e-12
         assert np.max(np.abs(u2 - u1)) < 1e-12
-        n2, m2 = internal_loads(q2, u2, turned.rot, ref_params)
+        n2, m2 = constitutive_loads(q2, u2, turned.rot, ref_params)
         assert np.max(np.abs(n2 - n1 @ rot_q.T)) < 1e-10
         assert np.max(np.abs(m2 - m1 @ rot_q.T)) < 1e-10
 
@@ -261,8 +237,8 @@ class TestDynamics:
         assert np.array_equal(r2.v, 4.0 * r1.v)
         assert np.array_equal(r2.omega, 4.0 * r1.omega)
         q, u = strains(state, ref_grid)
-        n1, m1 = internal_loads(q, u, state.rot, base)
-        n2, m2 = internal_loads(q, u, state.rot, quadrupled)
+        n1, m1 = constitutive_loads(q, u, state.rot, base)
+        n2, m2 = constitutive_loads(q, u, state.rot, quadrupled)
         assert np.array_equal(n2, 4.0 * n1) and np.array_equal(m2, 4.0 * m1)
 
     def test_non_finite_state_raises(self, ref_grid, ref_params, straight_state):
