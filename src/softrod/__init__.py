@@ -52,7 +52,6 @@ from .harness import (
     SwingTrajectory,
     emit_csv,
     load_config,
-    make_swing_trajectory,
     run_closed_loop,
 )
 from .rod import (

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 
 from .discretize import check_cfl
@@ -13,13 +12,11 @@ from .rod import make_initial_state
 
 
 def _base_config(args):
-    cfg = load_config(args.config) if args.config else RunConfig()
-    flags = {name: getattr(args, name, None) for name in ("seed", "duration", "feedback")}
-    return dataclasses.replace(cfg, **{k: v for k, v in flags.items() if v is not None})
+    return load_config(args.config) if args.config else RunConfig()
 
 
 def _cmd_run(args):
-    cfg = _base_config(args)
+    cfg = apply_overrides(_base_config(args), args.overrides)
     out_dir = args.out or cfg.out_dir
     try:
         result = run_closed_loop(cfg, out_dir=out_dir)
@@ -38,7 +35,7 @@ def _cmd_run(args):
 
 
 def _cmd_check(args):
-    cfg = _base_config(args)
+    cfg = apply_overrides(_base_config(args), args.overrides)
     grid = cfg.grid()
     params = cfg.rod_params()
     gains = cfg.gains(grid)
@@ -74,16 +71,16 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    overrides_help = "key=value config overrides, e.g. seed=1 duration=2.0"
     run = sub.add_parser("run", help="run one closed-loop simulation")
     run.add_argument("--config", help="flat key=value config file")
     run.add_argument("--out", help="output directory (default: config out_dir)")
-    run.add_argument("--seed", type=int)
-    run.add_argument("--duration", type=float, help="simulated seconds")
-    run.add_argument("--feedback", choices=("true", "estimated"))
+    run.add_argument("overrides", nargs="*", help=overrides_help)
     run.set_defaults(func=_cmd_run)
 
     check = sub.add_parser("check", help="evaluate the pre-run gates only")
     check.add_argument("--config")
+    check.add_argument("overrides", nargs="*", help=overrides_help)
     check.set_defaults(func=_cmd_check)
 
     sweep = sub.add_parser("sweep", help="run a list of config overrides")

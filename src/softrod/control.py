@@ -125,7 +125,7 @@ def virtual_inputs(errors, state, traj, t, gains, grid, ref=None):
     return f_star, l_star
 
 
-def feedforward_transform(state, f_star, l_star, wrench_env, params, grid, profile=None, loads=None):
+def feedforward_transform(state, f_star, l_star, wrench_env, params, grid, loads=None):
     """Control wrench that cancels the rod nonlinearity and imposes the
     virtual accelerations.
 
@@ -133,9 +133,9 @@ def feedforward_transform(state, f_star, l_star, wrench_env, params, grid, profi
     ``omega_t = l*`` exactly (to rounding) away from the clamped base, because
     the cancellation terms are evaluated by the same code path as the plant.
     """
-    if profile is None:
-        profile = strain_profile(state, grid)
-    force, moment = loads if loads is not None else load_terms(state, profile, params)
+    if loads is None:
+        loads = load_terms(state, strain_profile(state, grid), params)
+    force, moment = loads
     f_c = -force + params.linear_mass * f_star - wrench_env.f
     l_c = (
         -np.matmul(state.rot, (moment - l_star @ params.rotational_mass.T)[:, :, None])[:, :, 0]
@@ -148,17 +148,12 @@ def feedforward_transform(state, f_star, l_star, wrench_env, params, grid, profi
 class TrackingBasinReport:
     """Per-node attitude-basin feasibility at the initial time.
 
-    ``angle_margin`` is ``4 - tr(I - R*^T R)`` (must stay positive) and
-    ``rate_margin`` is ``kR (4 - tr) - |e_w|^2`` (must stay positive).
-    ``coupling_bound`` is the admissible upper range for ``c`` and
-    ``level_ratio`` the normalized initial attitude energy, feasible below 2.
+    ``angle_margin`` is ``4 - tr(I - R*^T R)`` and ``rate_margin`` is
+    ``kR (4 - tr) - |e_w|^2``; the basin holds while both stay positive.
     """
 
-    angle_defect: np.ndarray
     angle_margin: np.ndarray
     rate_margin: np.ndarray
-    coupling_bound: np.ndarray
-    level_ratio: np.ndarray
 
     @property
     def angle_condition_ok(self):
@@ -170,18 +165,14 @@ class TrackingBasinReport:
 
     @property
     def all_ok(self):
-        return self.angle_condition_ok and self.rate_condition_ok and bool(
-            np.all(self.level_ratio < 2.0)
-        )
+        return self.angle_condition_ok and self.rate_condition_ok
 
     def summary(self):
         return (
             f"attitude-angle condition: {'pass' if self.angle_condition_ok else 'FAIL'} "
             f"(min margin {float(np.min(self.angle_margin)):.3e}); "
             f"angular-rate condition: {'pass' if self.rate_condition_ok else 'FAIL'} "
-            f"(min margin {float(np.min(self.rate_margin)):.3e}); "
-            f"max level ratio {float(np.max(self.level_ratio)):.3f} (< 2 required); "
-            f"min coupling bound {float(np.min(self.coupling_bound)):.3e}"
+            f"(min margin {float(np.min(self.rate_margin)):.3e})"
         )
 
 
@@ -201,15 +192,7 @@ def check_tracking_basin(state0, traj, gains, grid):
     ref = traj.evaluate(grid.s, 0.0)
     errors = tracking_errors(state0, traj, 0.0, grid)
     angle_defect, rate_margin = attitude_margins(ref.rot, state0.rot, errors.e_omega, gains.kr)
-    rate_sq = np.sum(errors.e_omega**2, axis=-1)
-    level_ratio = (0.5 * gains.kr * angle_defect + 0.5 * rate_sq) / gains.kr
-    return TrackingBasinReport(
-        angle_defect=angle_defect,
-        angle_margin=4.0 - angle_defect,
-        rate_margin=rate_margin,
-        coupling_bound=GainProfile.c_upper_bound(gains.kr, gains.kw),
-        level_ratio=level_ratio,
-    )
+    return TrackingBasinReport(angle_margin=4.0 - angle_defect, rate_margin=rate_margin)
 
 
 def position_lyapunov_matrix(kp, kv):

@@ -270,10 +270,6 @@ class NoiseModel:
         if not self.process_var >= 0.0:
             raise ValueError("process_var must be nonnegative")
 
-    @classmethod
-    def isotropic(cls, grid, meas_var=0.02, process_var=0.0):
-        return cls(grid.n_nodes, meas_var, process_var)
-
 
 def regularized_gain(covariance, noise, dt):
     """Innovation gain consistent with one measurement per ``dt``.

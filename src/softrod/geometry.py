@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import numpy as np
 
-ORTHOGONALITY_TOL = 1e-9
 SMALL_ANGLE = 1e-6
 
 
@@ -152,22 +151,3 @@ def project_so3(m):
     u = u.copy()
     u[..., :, 2] *= np.where(flip < 0.0, -1.0, 1.0)[..., None]
     return u @ vt
-
-
-def rotation_defect(rot):
-    """Frobenius distances ``(|R^T R - I|, |det R - 1|)`` for validity checks."""
-    rot = np.asarray(rot, dtype=float)
-    eye = np.eye(3)
-    orth = np.linalg.norm(np.swapaxes(rot, -1, -2) @ rot - eye, axis=(-2, -1))
-    det = np.abs(np.linalg.det(rot) - 1.0)
-    return orth, det
-
-
-def require_rotation(rot, tol=ORTHOGONALITY_TOL):
-    """Raise ``ValueError`` unless every matrix is a rotation within ``tol``."""
-    orth, det = rotation_defect(rot)
-    if np.any(orth > tol) or np.any(det > tol):
-        raise ValueError(
-            f"not a rotation: |R^T R - I| <= {float(np.max(orth)):.3e}, "
-            f"|det R - 1| <= {float(np.max(det)):.3e}, tol {tol:.1e}"
-        )

@@ -144,14 +144,10 @@ class RunConfig:
         )
 
     def noise(self, grid):
-        return NoiseModel.isotropic(
-            grid, meas_var=self.measurement_variance, process_var=self.process_variance
-        )
+        return NoiseModel(grid.n_nodes, self.measurement_variance, self.process_variance)
 
     def trajectory(self, grid):
-        return make_swing_trajectory(
-            grid, amplitude=self.amplitude, frequency=self.frequency, phase=self.phase
-        )
+        return SwingTrajectory(self.amplitude, self.frequency, self.phase, grid.length)
 
 
 def _parse_item(item):
@@ -305,11 +301,6 @@ class SwingTrajectory:
         return point
 
 
-def make_swing_trajectory(grid, amplitude=np.pi / 3.0, frequency=0.5, phase=np.pi / 2.0):
-    """Planar bending-swing reference for the given grid's rod length."""
-    return SwingTrajectory(amplitude, frequency, phase, grid.length)
-
-
 # ---------------------------------------------------------------------------
 # metrics and snapshots
 
@@ -421,22 +412,21 @@ def run_closed_loop(cfg, out_dir=None):
 
     true_feedback = cfg.feedback == "true"
 
-    def controller_wrench(state, at_time, ref=None, profile=None, loads=None):
+    def controller_wrench(state, at_time, ref=None, loads=None):
         errs = tracking_errors(state, traj, at_time, grid, ref=ref)
         f_star, l_star = virtual_inputs(errs, state, traj, at_time, gains, grid, ref=ref)
         wrench_c = feedforward_transform(
-            state, f_star, l_star, wrench_env, params, grid, profile=profile, loads=loads
+            state, f_star, l_star, wrench_env, params, grid, loads=loads
         )
         return wrench_env + wrench_c
 
     def closed_loop_rates(state, tau):
         # the controller wrench at the feedback state and that state's rates,
-        # sharing its strain profile and loads
+        # sharing its loads
         ref = traj.evaluate(grid.s, tau)
-        profile = strain_profile(state, grid)
-        loads = load_terms(state, profile, params)
-        wrench = controller_wrench(state, tau, ref=ref, profile=profile, loads=loads)
-        return wrench, dynamics_rhs(state, wrench, params, grid, profile=profile, loads=loads)
+        loads = load_terms(state, strain_profile(state, grid), params)
+        wrench = controller_wrench(state, tau, ref=ref, loads=loads)
+        return wrench, dynamics_rhs(state, wrench, params, grid, loads=loads)
 
     @contextmanager
     def naming(divergence, tau):
@@ -517,15 +507,15 @@ def run_closed_loop(cfg, out_dir=None):
             t = n_steps * cfg.dt
             records.append(compute_metrics(t, plant, estimator.estimate, traj, gains, grid))
             snapshots.append(Snapshot(t, plant.copy(), estimator.estimate.copy()))
-    except RUN_ABORTS:
+    except RUN_ABORTS as exc:
         # the last finite states, for post-mortem, unless this step's snapshot holds them
         if not snapshots or snapshots[-1].t != t:
             snapshots.append(Snapshot(t, plant.copy(), estimator.estimate.copy()))
         if out_dir is not None:
-            result.written = emit_csv(records, snapshots, cfg, out_dir, grid, status="aborted")
+            result.written = emit_csv(records, snapshots, cfg, out_dir, grid, abort=exc)
         raise
     if out_dir is not None:
-        result.written = emit_csv(records, snapshots, cfg, out_dir, grid, status="completed")
+        result.written = emit_csv(records, snapshots, cfg, out_dir, grid)
     return result
 
 
@@ -555,11 +545,12 @@ def _snapshot_rows(state, grid):
     return [",".join(map(repr, row)) for row in table.tolist()]
 
 
-def emit_csv(records, snapshots, cfg, out_dir, grid, status="completed"):
+def emit_csv(records, snapshots, cfg, out_dir, grid, abort=None):
     """Write metrics CSV, per-time snapshot CSVs, config echo and report.
 
-    Output is byte-deterministic for a given run (floats via ``repr``).
-    Returns the list of written paths.
+    ``abort`` is the exception that stopped the run, if one did; the report
+    then names it.  Output is byte-deterministic for a given run (floats via
+    ``repr``).  Returns the list of written paths.
     """
     out = Path(out_dir)
     try:
@@ -589,7 +580,10 @@ def emit_csv(records, snapshots, cfg, out_dir, grid, status="completed"):
         written.append(config_path)
 
         report_path = out / "report.txt"
-        report = [f"status={status}", f"steps_logged={len(records)}"]
+        report = [f"status={'completed' if abort is None else 'aborted'}"]
+        if abort is not None:
+            report.append(f"abort={type(abort).__name__}: {abort}")
+        report.append(f"steps_logged={len(records)}")
         if records:
             last = _metrics_cells(records[-1])
             report.append(f"t_final={last[0]}")

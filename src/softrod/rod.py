@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import axial, require_rotation
+from .geometry import axial
 
 REFERENCE_STRETCH = np.array([0.0, 0.0, 1.0])  # undeformed linear strain
 REFERENCE_TWIST = np.zeros(3)  # undeformed angular strain
@@ -69,11 +69,10 @@ class Grid:
 class RodParams:
     """Material and geometric constants of a uniform circular-section rod.
 
-    ``sigma`` (cross-section area) and ``inertia`` (second-moment matrix)
-    default to the circular-section formulas ``pi r^2`` and
-    ``diag(pi r^4/4, pi r^4/4, pi r^4/2)``.  The stiffness matrices are always
-    derived from the moduli: ``K_l = diag(G, G, E) sigma`` and
-    ``K_a = diag(E, E, G) J``.
+    ``sigma`` (cross-section area) is always ``pi r^2``; ``inertia``
+    (second-moment matrix) defaults to ``diag(pi r^4/4, pi r^4/4, pi r^4/2)``.
+    The stiffness matrices are always derived from the moduli:
+    ``K_l = diag(G, G, E) sigma`` and ``K_a = diag(E, E, G) J``.
     """
 
     length: float
@@ -81,16 +80,15 @@ class RodParams:
     density: float
     youngs_modulus: float
     shear_modulus: float
-    sigma: float = None
     inertia: np.ndarray = None
+    sigma: float = field(init=False)
 
     def __post_init__(self):
         for name in ("length", "radius", "density", "youngs_modulus", "shear_modulus"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be strictly positive")
-        if self.sigma is None:
-            object.__setattr__(self, "sigma", float(np.pi * self.radius**2))
-        if not self.sigma > 0.0:
+        object.__setattr__(self, "sigma", float(np.pi * self.radius**2))
+        if not self.sigma > 0.0:  # a tiny radius underflows
             raise ValueError("sigma must be strictly positive")
         if self.inertia is None:
             second = np.pi * self.radius**4 / 4.0
@@ -151,15 +149,6 @@ class RodState:
     def n_nodes(self):
         return self.p.shape[0]
 
-    def validate(self, tol=1e-9):
-        n = self.p.shape[0]
-        for name, arr in zip(FIELDS, self):
-            if arr.shape[0] != n:
-                raise ValueError(f"field {name} has {arr.shape[0]} nodes, expected {n}")
-            if not np.all(np.isfinite(arr)):
-                raise NonFiniteState(f"field {name} contains non-finite entries")
-        require_rotation(self.rot, tol=tol)
-
 
 @dataclass
 class Wrench:
@@ -196,10 +185,9 @@ class StrainProfile(NamedTuple):
 
     ``q``/``u`` are the tip-substituted linear and angular strains and
     ``q_s``/``u_s`` their arc-length derivatives computed after substitution,
-    so the tip carries no internal load.  ``p_s``/``rot_s`` are raw.
+    so the tip carries no internal load.  ``rot_s`` is raw.
     """
 
-    p_s: np.ndarray
     rot_s: np.ndarray
     q: np.ndarray
     u: np.ndarray
@@ -227,12 +215,11 @@ def _rotate_to_global(rot, field):
 
 
 def _pose_strains(state, grid):
-    """Pose derivatives ``p_s``, ``R_s`` and the raw strains they give.
+    """Frame derivative ``R_s`` and the raw strains the pose derivatives give.
 
     The angular strain is taken from the antisymmetric part of ``R^T R_s``:
     on a grid the product is skew only up to O(ds^2 * u * u_s), so an exact
-    skewness demand would reject legitimately curved fields; frame-field
-    validity itself is checked by ``RodState.validate``.
+    skewness demand would reject legitimately curved fields.
     """
     from .discretize import d_ds
 
@@ -240,12 +227,12 @@ def _pose_strains(state, grid):
     rot_s = d_ds(state.rot, grid)
     q = _rotate_into_body(state.rot, p_s)
     u = axial(np.matmul(state.rot.transpose(0, 2, 1), rot_s))
-    return p_s, rot_s, q, u
+    return rot_s, q, u
 
 
 def strains(state, grid):
     """Recover linear strain ``q = R^T p_s`` and angular strain ``u = (R^T R_s)^vee``."""
-    _, _, q, u = _pose_strains(state, grid)
+    _, q, u = _pose_strains(state, grid)
     return q, u
 
 
@@ -253,14 +240,14 @@ def strain_profile(state, grid):
     """Strain fields and derivatives with the free-tip substitution applied."""
     from .discretize import d_ds
 
-    p_s, rot_s, q, u = _pose_strains(state, grid)
+    rot_s, q, u = _pose_strains(state, grid)
     # Pinning the tip strains to the reference encodes the load-free tip
     # through the constitutive law; derivatives see the substituted fields.
     q[-1] = REFERENCE_STRETCH
     u[-1] = REFERENCE_TWIST
     q_s = d_ds(q, grid)
     u_s = d_ds(u, grid)
-    return StrainProfile(p_s, rot_s, q, u, q_s, u_s)
+    return StrainProfile(rot_s, q, u, q_s, u_s)
 
 
 def load_terms(state, profile, params):
@@ -294,24 +281,23 @@ def load_terms(state, profile, params):
     return force, moment
 
 
-def dynamics_rhs(state, wrench, params, grid, profile=None, loads=None):
+def dynamics_rhs(state, wrench, params, grid, loads=None):
     """Time derivative of the rod state under a total distributed wrench.
 
     Per node: ``p_t = v``, the rotation tangent is ``omega``,
     ``v_t = (force_terms + f) / (rho sigma)`` and
     ``omega_t = (rho J)^-1 (moment_terms + R^T l)``.  The clamped base row is
     zeroed; the tip row uses the substituted strain profile.  Callers that
-    already computed the state's strain profile (and its load resultants) may
-    pass them in.
+    already computed the state's load resultants may pass them in.
 
     Raises
     ------
     NonFiniteState
         If an output entry is NaN/Inf (typically a stability violation), naming its field and node.
     """
-    if profile is None:
-        profile = strain_profile(state, grid)
-    force, moment = loads if loads is not None else load_terms(state, profile, params)
+    if loads is None:
+        loads = load_terms(state, strain_profile(state, grid), params)
+    force, moment = loads
     body_l = _rotate_into_body(state.rot, wrench.l)
     rates = StateRates(np.empty((4,) + state.p.shape))
     rates.data[:2] = state.v, state.omega

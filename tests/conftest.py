@@ -72,6 +72,21 @@ def smooth_random_state(grid, rng, amp=0.2):
     return RodState(p, rot, v, omega)
 
 
+def rotation_defect(rot):
+    """Frobenius distances ``(|R^T R - I|, |det R - 1|)`` for validity checks."""
+    rot = np.asarray(rot, dtype=float)
+    eye = np.eye(3)
+    orth = np.linalg.norm(np.swapaxes(rot, -1, -2) @ rot - eye, axis=(-2, -1))
+    det = np.abs(np.linalg.det(rot) - 1.0)
+    return orth, det
+
+
+def assert_rotations(rot, tol=1e-9):
+    """Every matrix of ``rot`` is a rotation within ``tol``."""
+    orth, det = rotation_defect(rot)
+    assert np.max(orth) <= tol and np.max(det) <= tol, (np.max(orth), np.max(det))
+
+
 def check_trajectory_consistency(traj, s, times, h=1e-5):
     """Max kinematic-consistency residuals of a trajectory by central differences.
 

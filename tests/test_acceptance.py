@@ -35,7 +35,6 @@ from softrod import (
     feedforward_transform,
     linearize_dynamics,
     make_initial_state,
-    make_swing_trajectory,
     run_closed_loop,
     step,
     strains,

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from softrod import (
     GainProfile,
+    Grid,
     IntegratorConfig,
     RodState,
     Wrench,
@@ -11,14 +14,13 @@ from softrod import (
     feedforward_transform,
     lyapunov_value,
     make_initial_state,
-    make_swing_trajectory,
     step,
     tracking_errors,
     virtual_inputs,
 )
 from softrod.control import position_lyapunov_matrix
 from softrod.geometry import c_matrix, exp_so3
-from softrod.harness import SwingTrajectory
+from softrod.harness import RunConfig, SwingTrajectory
 
 from conftest import check_trajectory_consistency, random_rotations, smooth_random_state
 
@@ -36,6 +38,14 @@ def closed_loop_rhs(traj, t, gains, params, grid, wrench_env):
         return dynamics_rhs(state, wrench_env + wrench_c, params, grid)
 
     return rhs
+
+
+UNIT_VECTORS = (
+    st.tuples(*[st.floats(-1.0, 1.0)] * 3)
+    .map(np.array)
+    .filter(lambda a: np.linalg.norm(a) > 0.1)
+    .map(lambda a: a / np.linalg.norm(a))
+)
 
 
 class TestGainProfile:
@@ -64,14 +74,14 @@ class TestGainProfile:
 
 class TestTrackingErrors:
     def test_zero_on_trajectory(self, ref_grid):
-        traj = make_swing_trajectory(ref_grid)
+        traj = RunConfig().trajectory(ref_grid)
         state = state_on_trajectory(traj, ref_grid, 0.3)
         errs = tracking_errors(state, traj, 0.3, ref_grid)
         for arr in (errs.e_p, errs.e_v, errs.e_rot, errs.e_omega):
             assert np.max(np.abs(arr)) < 1e-12
 
     def test_pure_position_offset(self, ref_grid):
-        traj = make_swing_trajectory(ref_grid)
+        traj = RunConfig().trajectory(ref_grid)
         state = state_on_trajectory(traj, ref_grid, 0.1)
         state.p = state.p + [0.05, 0.0, 0.0]
         errs = tracking_errors(state, traj, 0.1, ref_grid)
@@ -91,7 +101,7 @@ class TestTrackingErrors:
 
 class TestVirtualInputs:
     def test_pure_feedforward_at_zero_error(self, ref_grid):
-        traj = make_swing_trajectory(ref_grid)
+        traj = RunConfig().trajectory(ref_grid)
         gains = GainProfile.constant(ref_grid)
         t = 0.7
         state = state_on_trajectory(traj, ref_grid, t)
@@ -115,7 +125,7 @@ class TestVirtualInputs:
     def test_closed_loop_error_derivatives(self, ref_grid, ref_params, rng):
         # central-difference the closed loop and compare against the decoupled
         # error dynamics the cancelling controller is supposed to produce
-        traj = make_swing_trajectory(ref_grid)
+        traj = RunConfig().trajectory(ref_grid)
         gains = GainProfile.constant(ref_grid)
         wrench_env = Wrench.zero(ref_grid.n_nodes)
         state = smooth_random_state(ref_grid, rng, amp=0.1)
@@ -225,8 +235,31 @@ class TestTrackingBasinGate:
             report = check_tracking_basin(state, traj, gains, ref_grid)
             assert report.rate_condition_ok is expect_ok
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        theta=st.floats(0.0, np.pi, exclude_max=True),
+        axis=UNIT_VECTORS,
+        rate=st.floats(0.0, 4.0),
+        direction=UNIT_VECTORS,
+        kr=st.floats(0.05, 8.0),
+    )
+    def test_rate_condition_is_the_level_bound(self, theta, axis, rate, direction, kr):
+        # (kR d / 2 + |e_w|^2 / 2) / kR < 2 is kR (4 - d) - |e_w|^2 > 0, so
+        # the rate condition alone decides the gate
+        grid = Grid.from_length(0.5, 0.125)
+        traj = SwingTrajectory(0.0, 0.5, 0.0, grid.length)
+        gains = GainProfile.constant(grid, kr=kr, c=0.5 * GainProfile.c_upper_bound(kr, 2.0))
+        state = state_on_trajectory(traj, grid, 0.0)
+        state.rot = state.rot @ exp_so3(theta * axis)
+        state.omega = state.omega + rate * direction
+        energy = (0.5 * kr * 2.0 * (1.0 - np.cos(theta)) + 0.5 * rate**2) / kr
+        assume(abs(energy - 2.0) > 1e-9)
+        report = check_tracking_basin(state, traj, gains, grid)
+        assert report.rate_condition_ok == (energy < 2.0)
+        assert report.all_ok == report.rate_condition_ok
+
     def test_reference_scenario_passes(self, ref_grid):
-        traj = make_swing_trajectory(ref_grid)
+        traj = RunConfig().trajectory(ref_grid)
         gains = GainProfile.constant(ref_grid, kp=1.0, kv=2.0, kr=1.0, kw=2.0)
         state = make_initial_state(ref_grid, "axial_spin")
         report = check_tracking_basin(state, traj, gains, ref_grid)
@@ -235,7 +268,7 @@ class TestTrackingBasinGate:
 
 class TestLyapunov:
     def test_zero_on_trajectory(self, ref_grid):
-        traj = make_swing_trajectory(ref_grid)
+        traj = RunConfig().trajectory(ref_grid)
         gains = GainProfile.constant(ref_grid)
         state = state_on_trajectory(traj, ref_grid, 0.2)
         errs = tracking_errors(state, traj, 0.2, ref_grid)
@@ -275,7 +308,7 @@ class TestLyapunov:
             assert v2[5] <= e2 @ m2 @ e2 + 1e-12
 
     def test_descent_along_closed_loop(self, ref_grid, ref_params):
-        traj = make_swing_trajectory(ref_grid)
+        traj = RunConfig().trajectory(ref_grid)
         gains = GainProfile.constant(ref_grid)
         wrench_env = Wrench.zero(ref_grid.n_nodes)
         state = make_initial_state(ref_grid, "axial_spin")
@@ -302,7 +335,7 @@ class TestLyapunov:
     def test_rotational_state_does_not_affect_position_loop(
         self, ref_grid, ref_params, rng
     ):
-        traj = make_swing_trajectory(ref_grid)
+        traj = RunConfig().trajectory(ref_grid)
         gains = GainProfile.constant(ref_grid)
         wrench_env = Wrench.zero(ref_grid.n_nodes)
         base = smooth_random_state(ref_grid, rng, amp=0.1)
@@ -323,7 +356,7 @@ class TestLyapunov:
 
 class TestTrajectoryConsistency:
     def test_swing_satisfies_kinematics(self, ref_grid):
-        traj = make_swing_trajectory(ref_grid)
+        traj = RunConfig().trajectory(ref_grid)
         res_p, res_rot = check_trajectory_consistency(
             traj, ref_grid.s, times=np.linspace(0.0, 2.0, 7)
         )
@@ -336,13 +369,13 @@ class TestTrajectoryConsistency:
         assert np.max(np.abs(ref.omega)) == 0.0 and np.max(np.abs(ref.omega_t)) == 0.0
 
     def test_planarity(self, ref_grid):
-        traj = make_swing_trajectory(ref_grid)
+        traj = RunConfig().trajectory(ref_grid)
         for t in (0.0, 0.3, 1.7):
             ref = traj.evaluate(ref_grid.s, t)
             assert np.max(np.abs(ref.p[:, 0])) == 0.0
 
     def test_initial_reference_differs_from_plant(self, ref_grid):
-        traj = make_swing_trajectory(ref_grid)
+        traj = RunConfig().trajectory(ref_grid)
         state = make_initial_state(ref_grid, "axial_spin")
         ref = traj.evaluate(ref_grid.s, 0.0)
         assert np.max(np.abs(ref.p - state.p)) > 0.1

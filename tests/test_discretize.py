@@ -15,9 +15,8 @@ from softrod import (
     step_coupled,
 )
 from softrod.discretize import REORTHONORMALIZE_EVERY, GridTooSmall
-from softrod.geometry import rotation_defect
 
-from conftest import smooth_random_state
+from conftest import rotation_defect, smooth_random_state
 
 
 def free_spin_setup(n_nodes=4):

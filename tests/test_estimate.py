@@ -11,6 +11,7 @@ from softrod import (
     NoiseModel,
     NonFiniteState,
     RodParams,
+    RunConfig,
     Wrench,
     dynamics_rhs,
     RodState,
@@ -19,7 +20,6 @@ from softrod import (
     filter_update,
     linearize_dynamics,
     make_initial_state,
-    make_swing_trajectory,
     regularized_gain,
     riccati_step,
     step,
@@ -265,8 +265,7 @@ class TestLinearizedOperator:
 
 class TestRiccati:
     def make_noise(self, n, meas_var=0.02):
-        grid = Grid(n_nodes=n, ds=0.1)
-        return NoiseModel.isotropic(grid, meas_var=meas_var)
+        return NoiseModel(n, meas_var)
 
     def test_scalar_closed_form(self):
         # with a zero operator the position variance follows the scalar
@@ -315,7 +314,7 @@ class TestRiccati:
         state = smooth_random_state(grid, rng, amp=0.05)
         wrench = Wrench.zero(grid.n_nodes)
         op = linearize_dynamics(state, wrench, params, grid)
-        noise = NoiseModel.isotropic(grid, meas_var=0.02)
+        noise = NoiseModel(grid.n_nodes, 0.02)
         p = 1e-4 * np.eye(12 * grid.n_nodes)
         for _ in range(1000):
             p = riccati_step(p, op, noise, 2e-4)
@@ -326,7 +325,7 @@ class TestRiccati:
     def test_process_noise_feeds_covariance(self):
         n = 4
         grid = Grid(n_nodes=n, ds=0.1)
-        noise = NoiseModel.isotropic(grid, meas_var=1e6, process_var=1.0)
+        noise = NoiseModel(grid.n_nodes, 1e6, 1.0)
         op = LinearizedOperator.zeros(n)
         cov = riccati_step(np.zeros((12 * n, 12 * n)), op, noise, 1e-3)
         assert np.allclose(np.diagonal(cov), 1e-3, rtol=1e-6)
@@ -374,7 +373,7 @@ class TestRiccati:
     def test_matches_lu_congruence_reference(self, n_nodes, ref_params, rng):
         # perturbed swing state at the filter's refresh interval (stride 10)
         grid = Grid.from_length(0.5, 0.5 / (n_nodes - 1))
-        ref = make_swing_trajectory(grid).evaluate(grid.s, 0.3)
+        ref = RunConfig().trajectory(grid).evaluate(grid.s, 0.3)
         bump = smooth_random_state(grid, rng, amp=0.005)
         state = RodState(
             ref.p + bump.p - np.outer(grid.s, [0.0, 0.0, 1.0]),
@@ -383,7 +382,7 @@ class TestRiccati:
             ref.omega + bump.omega,
         )
         op = linearize_dynamics(state, Wrench.zero(n_nodes), ref_params, grid)
-        noise = NoiseModel.isotropic(grid, meas_var=0.02)
+        noise = NoiseModel(grid.n_nodes, 0.02)
         dt, meas_dt = 2e-3, 2e-4
         p = 1e-6 * np.eye(12 * n_nodes)
         for _ in range(3):  # correlate the prior the way live refreshes do
@@ -427,7 +426,7 @@ def transition_pattern(n):
 def perturbed_swing_operator(n_nodes, params, rng):
     """Operator at a perturbed swing state (nonzero omega) under a random wrench."""
     grid = Grid.from_length(0.5, 0.5 / (n_nodes - 1))
-    ref = make_swing_trajectory(grid).evaluate(grid.s, 0.3)
+    ref = RunConfig().trajectory(grid).evaluate(grid.s, 0.3)
     bump = smooth_random_state(grid, rng, amp=0.005)
     state = RodState(
         ref.p + bump.p - np.outer(grid.s, [0.0, 0.0, 1.0]),
@@ -452,7 +451,7 @@ class TestStructuredTransition:
     def test_matches_dense_transition(self, n_nodes, ref_params, rng):
         grid, state, op = perturbed_swing_operator(n_nodes, ref_params, rng)
         assert np.max(np.abs(state.omega)) > 0.0
-        noise = NoiseModel.isotropic(grid, meas_var=0.02)
+        noise = NoiseModel(grid.n_nodes, 0.02)
         p = self.correlated_prior(op, noise)
         expected = dense_cayley_riccati(p, op, noise, self.DT, self.MEAS_DT)
         actual = riccati_step(p, op, noise, self.DT, measurement_dt=self.MEAS_DT)
@@ -460,11 +459,11 @@ class TestStructuredTransition:
 
     def test_process_noise_matches_dense_transition(self, ref_params, rng):
         grid, _, op = perturbed_swing_operator(21, ref_params, rng)
-        noise = NoiseModel.isotropic(grid, meas_var=0.02, process_var=1e-6)
+        noise = NoiseModel(grid.n_nodes, 0.02, 1e-6)
         p = self.correlated_prior(op, noise)
         expected = dense_cayley_riccati(p, op, noise, self.DT, self.MEAS_DT, q=noise.process_var)
         actual = riccati_step(p, op, noise, self.DT, measurement_dt=self.MEAS_DT)
-        quiet = NoiseModel.isotropic(grid, meas_var=0.02)
+        quiet = NoiseModel(grid.n_nodes, 0.02)
         without = riccati_step(p, op, quiet, self.DT, measurement_dt=self.MEAS_DT)
         assert not np.array_equal(actual, without)  # the process noise is live
         assert np.max(np.abs(actual - expected)) / np.max(np.abs(expected)) <= 1e-12
@@ -480,7 +479,7 @@ class TestStructuredTransition:
 
     def test_refresh_leaves_its_inputs_unchanged(self, ref_params, rng):
         grid, _, op = perturbed_swing_operator(21, ref_params, rng)
-        noise = NoiseModel.isotropic(grid, meas_var=0.02, process_var=1e-6)
+        noise = NoiseModel(grid.n_nodes, 0.02, 1e-6)
         prior = self.correlated_prior(op, noise)
         before = [a.tobytes() for a in (prior, *op)]
         p = riccati_step(prior, op, noise, self.DT, measurement_dt=self.MEAS_DT)
@@ -492,7 +491,7 @@ class TestStructuredTransition:
         n = 4
         op = LinearizedOperator.zeros(n)
         op.zz[1, 1, 1] = 2.0 / self.DT  # v row 6n + 4 on the diagonal: S has a zero pivot
-        noise = NoiseModel.isotropic(Grid(n_nodes=n, ds=0.1))
+        noise = NoiseModel(n, 0.02)
         with pytest.raises(CovarianceBlowup, match="singular"):
             riccati_step(np.eye(12 * n), op, noise, self.DT)
 
@@ -502,13 +501,13 @@ class TestStructuredTransition:
         # finite and on the pattern (a v row's p column and back), but the
         # product E D1^-1 C in S = D2 - E D1^-1 C overflows
         op.zx[4, 4] = op.xz[4] = 1e300  # entries (6n + 4, 4) and (4, 6n + 4)
-        noise = NoiseModel.isotropic(Grid(n_nodes=n, ds=0.1))
+        noise = NoiseModel(n, 0.02)
         with pytest.warns(RuntimeWarning, match="overflow"):
             with pytest.raises(CovarianceBlowup, match="non-finite transition .* infs or NaNs"):
                 riccati_step(np.eye(12 * n), op, noise, self.DT)
 
     def assert_matches_dense(self, grid, op):
-        noise = NoiseModel.isotropic(grid, meas_var=0.02)
+        noise = NoiseModel(grid.n_nodes, 0.02)
         p = self.correlated_prior(op, noise)
         expected = dense_cayley_riccati(p, op, noise, self.DT, self.MEAS_DT)
         actual = riccati_step(p, op, noise, self.DT, measurement_dt=self.MEAS_DT)
@@ -540,13 +539,13 @@ class TestStructuredTransition:
         op = LinearizedOperator.zeros(n)
         op.zx[3 * 3, 3 * 1] = 1.0  # couples nodes 3 and 1: runs of 2 nodes
         op.zz[5, 1, 1] = 2.0 / self.DT  # zero pivot, node 5
-        noise = NoiseModel.isotropic(Grid(n_nodes=n, ds=0.1))
+        noise = NoiseModel(n, 0.02)
         with pytest.raises(CovarianceBlowup, match="singular transition I - dt A/2 at nodes 4–5"):
             riccati_step(np.eye(12 * n), op, noise, self.DT)
 
     def test_regularized_gain_matches_solve_form(self, ref_params, rng):
         grid, _, op = perturbed_swing_operator(21, ref_params, rng)
-        noise = NoiseModel.isotropic(grid, meas_var=0.02)
+        noise = NoiseModel(grid.n_nodes, 0.02)
         p = self.correlated_prior(op, noise)
         m = 3 * grid.n_nodes
         s = self.MEAS_DT * (noise.meas_var * np.eye(m) + p[:m, :m])
@@ -570,13 +569,13 @@ class TestNoiseModel:
 class TestKalmanGain:
     def test_zero_covariance_zero_gain(self):
         grid = Grid(n_nodes=4, ds=0.1)
-        noise = NoiseModel.isotropic(grid, meas_var=0.02)
+        noise = NoiseModel(grid.n_nodes, 0.02)
         gain = regularized_gain(np.zeros((48, 48)), noise, 2e-4)
         assert np.max(np.abs(gain)) == 0.0
 
     def test_uncoupled_fields_receive_no_innovation(self, rng):
         grid = Grid(n_nodes=4, ds=0.1)
-        noise = NoiseModel.isotropic(grid, meas_var=0.02)
+        noise = NoiseModel(grid.n_nodes, 0.02)
         cov = np.zeros((48, 48))
         cov[:12, :12] = np.eye(12) * 0.3  # covariance touches positions only
         gain = regularized_gain(cov, noise, 2e-4)
@@ -628,7 +627,7 @@ class TestInnovationRates:
         gain = rng.normal(size=(3 * n, 12 * n)).T
         est = EstimatorState(state, np.zeros((12 * n, 12 * n)), step_count=1, gain=gain)
         y = state.p + rng.normal(size=(n, 3))
-        noise = NoiseModel.isotropic(grid)
+        noise = NoiseModel(grid.n_nodes, 0.02)
         cfg = IntegratorConfig(dt=2e-4)
         # held gain: the wrench is never evaluated
         _, held, rates = filter_update(est, y, never_called, None, grid, noise, cfg, riccati_stride=2)
@@ -640,7 +639,7 @@ class TestInnovationRates:
     def test_degenerate_filter_never_evaluates_the_wrench(self):
         grid = Grid(n_nodes=5, ds=0.1)
         est = EstimatorState.initialize(make_initial_state(grid, "axial_spin"), 0.0)
-        noise = NoiseModel.isotropic(grid)
+        noise = NoiseModel(grid.n_nodes, 0.02)
         _, gain, rates = filter_update(
             est, est.estimate.p + 1.0, never_called, None, grid, noise, IntegratorConfig(dt=2e-4)
         )
@@ -682,7 +681,7 @@ class TestEkfStep:
         params = RodParams(
             length=0.5, radius=0.02, density=2000.0, youngs_modulus=3.0e7, shear_modulus=1.0e7
         )
-        noise = NoiseModel.isotropic(grid, meas_var=0.02)
+        noise = NoiseModel(grid.n_nodes, 0.02)
         cfg = IntegratorConfig(dt=2e-4)
         return grid, params, noise, cfg
 

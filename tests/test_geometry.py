@@ -14,12 +14,11 @@ from softrod.geometry import (
     hat,
     log_so3,
     project_so3,
-    require_rotation,
     rotation_error,
     vee,
 )
 
-from conftest import random_rotations
+from conftest import assert_rotations, random_rotations
 
 
 def stacked_axial(a):
@@ -116,7 +115,7 @@ class TestExpLog:
 
     def test_exp_output_is_rotation(self, rng):
         rot = exp_so3(rng.normal(size=(200, 3)) * 2.0)
-        require_rotation(rot)
+        assert_rotations(rot)
         norms = np.linalg.norm(rot, axis=1)
         assert np.max(np.abs(norms - 1.0)) < 1e-12
 
@@ -213,7 +212,7 @@ class TestProject:
             rot = random_rotations(rng, 1)[0]
             noisy = rot + 1e-6 * rng.normal(size=(3, 3))
             fixed = project_so3(noisy)
-            require_rotation(fixed, tol=1e-12)
+            assert_rotations(fixed, tol=1e-12)
             assert np.max(np.abs(fixed - rot)) < 2e-6
             assert np.max(np.abs(fixed - self.newton_polar(noisy))) < 1e-10
 

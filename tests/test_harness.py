@@ -14,8 +14,8 @@ from softrod import (
     NearPiRotation,
     NonFiniteState,
     RodState,
+    SwingTrajectory,
     load_config,
-    make_swing_trajectory,
     run_closed_loop,
     strains,
     tracking_errors,
@@ -180,7 +180,7 @@ class TestRunConfig:
 
 class TestSwingTrajectory:
     def test_factory_defaults(self, ref_grid):
-        traj = make_swing_trajectory(ref_grid)
+        traj = RunConfig().trajectory(ref_grid)
         assert traj.amplitude == pytest.approx(np.pi / 3.0)
         assert traj.frequency == 0.5
         assert traj.phase == pytest.approx(np.pi / 2.0)
@@ -191,35 +191,35 @@ class TestSwingTrajectory:
 
     def test_amplitude_range_enforced(self, ref_grid):
         with pytest.raises(ValueError):
-            make_swing_trajectory(ref_grid, amplitude=np.pi / 2.0)
+            SwingTrajectory(np.pi / 2.0, 0.5, np.pi / 2.0, ref_grid.length)
         with pytest.raises(ValueError):
-            make_swing_trajectory(ref_grid, frequency=0.0)
+            SwingTrajectory(np.pi / 3.0, 0.0, np.pi / 2.0, ref_grid.length)
 
     def test_memo_over_rk4_stage_times_matches_fresh_points(self, ref_grid):
-        traj = make_swing_trajectory(ref_grid)
+        traj = RunConfig().trajectory(ref_grid)
         t, dt = 0.37, 2e-4
         stage_times = (t, t + dt / 2.0, t + dt / 2.0, t + dt, t + dt)
         points = [traj.evaluate(ref_grid.s, tau) for tau in stage_times]
         for tau, point in zip(stage_times, points):
-            fresh = make_swing_trajectory(ref_grid).evaluate(ref_grid.s, tau)
+            fresh = RunConfig().trajectory(ref_grid).evaluate(ref_grid.s, tau)
             for got, want in zip(point, fresh):
                 assert np.array_equal(got, want)
         # the repeated stage times are memo hits
         assert points[2] is points[1] and points[4] is points[3]
 
     def test_memo_misses_on_other_nodes_at_the_same_time(self, ref_grid):
-        traj = make_swing_trajectory(ref_grid)
+        traj = RunConfig().trajectory(ref_grid)
         t = 0.25
         on_grid = traj.evaluate(ref_grid.s, t)
         s_half = ref_grid.s[::2]
         half = traj.evaluate(s_half, t)
         assert half is not on_grid
-        fresh = make_swing_trajectory(ref_grid).evaluate(s_half, t)
+        fresh = RunConfig().trajectory(ref_grid).evaluate(s_half, t)
         for got, want in zip(half, fresh):
             assert np.array_equal(got, want)
 
     def test_repeated_grid_nodes_compute_nothing_new(self, ref_grid, monkeypatch):
-        traj = make_swing_trajectory(ref_grid)
+        traj = RunConfig().trajectory(ref_grid)
         computed = []
         real = traj._compute
         monkeypatch.setattr(traj, "_compute", lambda s, t: computed.append(t) or real(s, t))
@@ -229,7 +229,7 @@ class TestSwingTrajectory:
         assert traj._memo[0][1] is ref_grid.s  # kept by reference, not copied
 
     def test_writable_nodes_are_copied_into_the_memo(self, ref_grid):
-        traj = make_swing_trajectory(ref_grid)
+        traj = RunConfig().trajectory(ref_grid)
         s = np.array(ref_grid.s)
         first = traj.evaluate(s, 0.3)
         s[-1] = 0.0
@@ -237,7 +237,7 @@ class TestSwingTrajectory:
         assert traj.evaluate(ref_grid.s, 0.3) is first
 
     def test_memo_points_are_read_only(self, ref_grid):
-        point = make_swing_trajectory(ref_grid).evaluate(ref_grid.s, 0.1)
+        point = RunConfig().trajectory(ref_grid).evaluate(ref_grid.s, 0.1)
         for arr in point:
             with pytest.raises(ValueError):
                 arr[0] = 1.0
@@ -256,6 +256,9 @@ class TestClosedLoop:
         names = {p.name for p in result.written}
         assert {"metrics.csv", "config.txt", "report.txt"} <= names
         assert any(n.startswith("snapshot_") for n in names)
+        report = (tmp_path / "out" / "report.txt").read_text().splitlines()
+        assert report[0] == "status=completed"
+        assert not any(line.startswith("abort=") for line in report)
 
     def test_degenerate_estimate_feedback_equals_true_feedback(self):
         # with a zero prior the filter replays the model exactly, so both
@@ -362,8 +365,22 @@ class TestClosedLoop:
         out = tmp_path / "near_pi"
         with pytest.raises(NearPiRotation):
             run_closed_loop(quick_config(), out_dir=out)
-        assert "status=aborted" in (out / "report.txt").read_text()
+        report = (out / "report.txt").read_text().splitlines()
+        assert report[:2] == [
+            "status=aborted",
+            "abort=NearPiRotation: forced near-pi relative rotation",
+        ]
         assert any(p.name.startswith("snapshot_") for p in out.iterdir())
+
+    def test_aborted_report_names_the_guard_that_fired(self, tmp_path):
+        # the live filter at the reference noise runs into the covariance cap
+        with pytest.raises(CovarianceBlowup):
+            run_closed_loop(quick_config(), out_dir=tmp_path)
+        report = (tmp_path / "report.txt").read_text().splitlines()
+        assert [line for line in report if line.startswith("abort=")] == [
+            "abort=CovarianceBlowup: covariance diagonal exceeded cap 1.0e+06 "
+            "at omega node 2; filter diverged"
+        ]
 
     def test_abort_in_the_final_record_snapshots_at_the_end_time(self, tmp_path, monkeypatch):
         # records at steps 0, 25, ..., 175, then the final one at t_end = 0.04
@@ -553,12 +570,9 @@ class TestCli:
                 "run",
                 "--out",
                 str(tmp_path / "out"),
-                "--seed",
-                "5",
-                "--duration",
-                "0.02",
-                "--feedback",
-                "true",
+                "seed=5",
+                "duration=0.02",
+                "feedback=true",
             ]
         )
         assert rc == 0
@@ -590,8 +604,8 @@ class TestCli:
         assert f"{line.split('=')[0]} must be" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    def test_infinite_duration_flag_exits_2(self, tmp_path, capsys):
-        rc = cli_main(["run", "--duration", "inf", "--out", str(tmp_path / "o")])
+    def test_infinite_duration_override_exits_2(self, tmp_path, capsys):
+        rc = cli_main(["run", "duration=inf", "--out", str(tmp_path / "o")])
         assert rc == 2
         assert "duration must be finite" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
@@ -605,7 +619,7 @@ class TestCli:
 
     def test_near_pi_rotation_is_an_aborted_run(self, tmp_path, monkeypatch, capsys):
         fail_log_so3(monkeypatch)
-        rc = cli_main(["run", "--out", str(tmp_path / "out"), "--duration", "0.02"])
+        rc = cli_main(["run", "--out", str(tmp_path / "out"), "duration=0.02"])
         assert rc == 1
         assert "run aborted" in capsys.readouterr().err
         assert "status=aborted" in (tmp_path / "out" / "report.txt").read_text()
@@ -641,7 +655,7 @@ class TestCli:
         src = str(Path(__file__).resolve().parent.parent / "src")
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
-            [sys.executable, "-m", "softrod", "run", "--duration", "0.004", "--out", str(tmp_path)],
+            [sys.executable, "-m", "softrod", "run", "duration=0.004", "--out", str(tmp_path)],
             capture_output=True,
             text=True,
             env={**os.environ, "PYTHONPATH": path},

@@ -2,7 +2,10 @@
 
 Every name a package module imports is used in that module: no linter ships
 with the project, so this stdlib-``ast`` check catches imports left behind
-when the code that used them is deleted.  Likewise every module-level
+when the code that used them is deleted.  Names are resolved by scope, so a
+parameter or local that shadows an import inside a function does not count
+as a use of it.  Every function parameter not named with a leading ``_`` is
+read in its function.  Likewise every module-level
 function, class and constant is referenced somewhere in the package outside
 its own definition (the ``__init__`` re-exports count), which catches
 helpers and constants orphaned by a change.  ``__init__.py`` is skipped (its
@@ -27,18 +30,129 @@ PACKAGE = ROOT / "src" / "softrod"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
-def unused_imports(source):
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+SCOPES = FUNCTIONS + (ast.ClassDef, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def _bound_name(alias):
+    """The name an import alias binds: ``import a.b`` binds ``a``."""
+    return alias.asname or alias.name.split(".")[0]
+
+
+def _params(func):
+    args = func.args
+    every = args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]
+    return [arg for arg in every if arg is not None]
+
+
+def _outer_parts(node):
+    """Children of a scope node that the enclosing scope evaluates."""
+    if isinstance(node, FUNCTIONS):
+        parts = node.args.defaults + [d for d in node.args.kw_defaults if d is not None]
+        if isinstance(node, ast.Lambda):
+            return parts
+        annotations = [arg.annotation for arg in _params(node) if arg.annotation]
+        returns = [node.returns] if node.returns else []
+        return node.decorator_list + parts + annotations + returns
+    if isinstance(node, ast.ClassDef):
+        return node.decorator_list + node.bases + node.keywords
+    return []
+
+
+def _inner_parts(node):
+    """Children of a scope node that its own scope evaluates."""
+    if isinstance(node, ast.Lambda):
+        return [node.body]
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return node.body
+    return list(ast.iter_child_nodes(node))  # a comprehension
+
+
+def _local_names(scope):
+    """Names a function, class or comprehension binds in its own scope."""
+    names = {arg.arg for arg in _params(scope)} if isinstance(scope, FUNCTIONS) else set()
+    declared = set()
+    stack = list(_inner_parts(scope))
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.Global, ast.Nonlocal)):
+            declared.update(node.names)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(map(_bound_name, node.names))
+        elif isinstance(node, ast.ExceptHandler) and node.name:
+            names.add(node.name)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        if not isinstance(node, SCOPES):
+            stack.extend(ast.iter_child_nodes(node))
+    return names - declared
+
+
+def resolve_names(source):
+    """Scope-resolve a module: ``(imports, reads, functions)``.
+
+    ``imports`` lists ``(scope, name, line)`` for every imported name except
+    ``__future__`` features, ``reads`` is the set of ``(scope, name)`` pairs
+    that some loaded name resolves to, and ``functions`` lists every function
+    and lambda node.  A name resolves to the innermost enclosing function that
+    binds it (as a parameter, a local or a local import), else to the module;
+    a class body is a scope only for its own statements.  Decorators,
+    defaults and annotations belong to the enclosing scope.
+    """
     tree = ast.parse(source)
-    imported = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
-        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
-            for alias in node.names:
-                imported[alias.asname or alias.name] = node.lineno
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    return sorted((line, name) for name, line in imported.items() if name not in used)
+    imports, reads, functions = [], set(), []
+
+    def resolve(name, chain):
+        for depth in range(len(chain) - 1, 0, -1):
+            scope, names = chain[depth]
+            if isinstance(scope, ast.ClassDef) and depth != len(chain) - 1:
+                continue
+            if name in names:
+                return scope
+        return chain[0][0]
+
+    def visit(node, chain):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if getattr(node, "module", None) != "__future__":
+                imports.extend((chain[-1][0], _bound_name(a), node.lineno) for a in node.names)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            reads.add((resolve(node.id, chain), node.id))
+        elif isinstance(node, SCOPES):
+            if isinstance(node, FUNCTIONS):
+                functions.append(node)
+            for child in _outer_parts(node):
+                visit(child, chain)
+            inner = chain + [(node, _local_names(node))]
+            for child in _inner_parts(node):
+                visit(child, inner)
+        else:
+            for child in ast.iter_child_nodes(node):
+                visit(child, chain)
+
+    visit(tree, [(tree, set())])
+    return imports, reads, functions
+
+
+def unused_imports(source):
+    """``(line, name)`` of imported names that no loaded name resolves to."""
+    imports, reads, _ = resolve_names(source)
+    return sorted((line, name) for scope, name, line in imports if (scope, name) not in reads)
+
+
+def unread_parameters(source):
+    """``(line, name)`` of function parameters never read in their function.
+
+    A parameter named with a leading ``_`` is unread on purpose.
+    """
+    _, reads, functions = resolve_names(source)
+    return sorted(
+        (arg.lineno, arg.arg)
+        for func in functions
+        for arg in _params(func)
+        if not arg.arg.startswith("_") and (func, arg.arg) not in reads
+    )
 
 
 def dead_definitions(sources):
@@ -104,6 +218,46 @@ def test_check_flags_an_unused_import():
     ]
 
 
+@pytest.mark.parametrize(
+    "source, unused",
+    [
+        # a parameter of the imported name shadows it in the function body
+        ("from dataclasses import field\ndef f(field):\n    return field\n", [(1, "field")]),
+        # so does a local, and a function-local import is its own
+        ("import os\ndef f():\n    os = 1\n    return os\n", [(1, "os")]),
+        ("import os\ndef f():\n    import os\n    return os\n", [(1, "os")]),
+        ("def f():\n    import os\n    return os\n", []),
+        # decorators, defaults and annotations run in the enclosing scope
+        ("from functools import cache\n@cache\ndef f(cache):\n    return cache\n", []),
+        ("from math import pi\ndef f(pi=pi):\n    return pi\n", []),
+        (
+            "from __future__ import annotations\nfrom typing import Any\n"
+            "def f(x: Any) -> Any:\n    Any = x\n    return Any\n",
+            [],
+        ),
+        # a nested function reads its enclosing function's parameter, not the import
+        ("from math import pi\ndef f(pi):\n    return lambda: pi\n", [(1, "pi")]),
+    ],
+    ids=["parameter", "local", "local-import", "only-local-import", "decorator", "default",
+         "annotation", "closure"],
+)
+def test_import_check_sees_through_shadowing(source, unused):
+    assert unused_imports(source) == unused
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_every_parameter_is_read(path):
+    assert unread_parameters(path.read_text()) == []
+
+
+def test_check_flags_an_unread_parameter():
+    source = (
+        "def f(a, b, _c, *args, d=1, **kw):\n    return a + sum(args) + (lambda: kw)()\n"
+        "g = lambda x, y: x\n"
+    )
+    assert unread_parameters(source) == [(1, "b"), (1, "d"), (3, "y")]
+
+
 def test_every_definition_is_referenced():
     sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     assert dead_definitions(sources) == []
@@ -152,7 +306,7 @@ after = sr.ekf_step(
     sr.Wrench.zero(grid.n_nodes),
     params,
     grid,
-    sr.NoiseModel.isotropic(grid, meas_var=0.02),
+    sr.NoiseModel(grid.n_nodes, 0.02),
     sr.IntegratorConfig(dt=2e-4),
     riccati_stride=1,
 )
