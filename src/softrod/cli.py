@@ -96,7 +96,12 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    # argparse leaves the key=value overrides after an option unparsed
+    args, extras = parser.parse_known_args(argv)
+    if any(item.startswith("-") or "=" not in item for item in extras):
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    args.overrides += extras
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

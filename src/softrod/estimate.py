@@ -22,7 +22,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .discretize import _first_derivative_matrix, d_ds, step
+from .discretize import _first_derivative_matrix, step
 from .geometry import hat
 from .rod import (
     FIELDS,
@@ -40,42 +40,46 @@ class CovarianceBlowup(FloatingPointError):
 
 
 # ---------------------------------------------------------------------------
-# block helpers (fields are stacked per node: entry 3*i + axis)
+# node bands (fields are stacked per node: entry 3*i + axis)
+
+# a node band holds node block (i, j) of a (3n, 3n) matrix at [i, j - i + R];
+# the linearization reaches R = 3 nodes (2 inside the rod, 3 at the tip)
+REACH = 3
 
 
-def _block_diag(blocks):
-    """Materialize (n, 3, 3) blocks as a dense (3n, 3n) block-diagonal matrix."""
-    n = blocks.shape[0]
+def _band_dense(band):
+    """The (3n, 3n) matrix of a node band ``(n, 2R + 1, 3, 3)``; R is read from its shape."""
+    n, width = band.shape[:2]
+    col = np.arange(n)[:, None] + np.arange(width) - width // 2
+    i, d = np.nonzero((col >= 0) & (col < n))
     out = np.zeros((n, 3, n, 3))
-    idx = np.arange(n)
-    out[idx, :, idx, :] = blocks
+    out[i, :, col[i, d], :] = band[i, d]
     return out.reshape(3 * n, 3 * n)
-
-
-def _bd_mul(blocks, m):
-    """Left-multiply by a block-diagonal matrix: ``blockdiag(blocks) @ m``."""
-    n = blocks.shape[0]
-    return np.einsum("nab,nbk->nak", blocks, m.reshape(n, 3, -1)).reshape(3 * n, -1)
-
-
-def _const_mul(mat3, m):
-    """Left-multiply every nodal 3-row slab by the same 3x3 matrix."""
-    return np.einsum("ab,nbk->nak", mat3, m.reshape(-1, 3, m.shape[1])).reshape(m.shape)
 
 
 @lru_cache(maxsize=16)
 def _stencil_pairs(n_nodes, ds):
-    """COO structure (rows, cols, coefficients) of the first-derivative stencil."""
+    """COO structure (rows, cols, coefficients) of the first-derivative stencil,
+    then its five diagonals as ``(e, D[i, i + e])`` for node offsets e = -2..2."""
     d = _first_derivative_matrix(n_nodes, ds)
     ii, jj = np.nonzero(d)
-    return ii, jj, d[ii, jj]
+    by_offset = tuple((e, np.diagonal(d, e)[:, None, None, None]) for e in range(-2, 3))
+    return ii, jj, d[ii, jj], by_offset
 
 
-def _scatter_pairs(ii, jj, blocks, n):
-    """Place 3x3 ``blocks[k]`` at node positions ``(ii[k], jj[k])`` of a (3n, 3n) matrix."""
-    out = np.zeros((n, 3, n, 3))
-    out[ii, :, jj, :] = blocks
-    return out.reshape(3 * n, 3 * n)
+def _along_nodes(bands, by_offset):
+    """The bands of ``D @ X`` for the stencil D and node bands X ``(..., n, 2R + 1, 3, 3)``.
+
+    Row i takes ``D[i, i + e] X[i + e]`` for each offset e, shifted by -e
+    along the offset axis.
+    """
+    out = np.zeros_like(bands)
+    n, width = bands.shape[-4:-2]
+    for e, coef in by_offset:
+        rows, lo, hi = max(-e, 0), max(e, 0), width + min(e, 0)
+        shifted = bands[..., rows + e : rows + e + n - abs(e), lo - e : hi - e, :, :]
+        out[..., rows : rows + n - abs(e), lo:hi, :, :] += coef * shifted
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -85,8 +89,9 @@ def _scatter_pairs(ii, jj, blocks, n):
 class StrainPerturbation(NamedTuple):
     """Linear response of the (tip-substituted) strain fields.
 
-    Each entry is a (3n, 3n) matrix; ``delta q = dq_p @ dp + dq_eta @ deta``
-    and likewise for the derivatives, with ``du`` depending on ``deta`` only.
+    Each entry is the node band ``(n, 2R + 1, 3, 3)`` of a (3n, 3n) matrix;
+    ``delta q = dq_p @ dp + dq_eta @ deta`` and likewise for the derivatives,
+    with ``du`` depending on ``deta`` only.
     """
 
     dq_p: np.ndarray
@@ -109,36 +114,26 @@ def strain_perturbation(state, profile, grid):
     """
     n = grid.n_nodes
     rot = state.rot
-    ii, jj, coef = _stencil_pairs(n, grid.ds)
+    ii, jj, coef, by_offset = _stencil_pairs(n, grid.ds)
+    pairs = ii, jj - ii + REACH
 
-    dq_p = _scatter_pairs(ii, jj, coef[:, None, None] * rot[ii].transpose(0, 2, 1), n)
-    dq_eta = _block_diag(hat(profile.q))
-    dq_p[-3:] = 0.0
-    dq_eta[-3:] = 0.0
+    bands = np.zeros((3, n, 2 * REACH + 1, 3, 3))
+    dq_p, dq_eta, du_eta = bands
+    dq_p[pairs] = coef[:, None, None] * rot[ii].transpose(0, 2, 1)
+    dq_eta[:, REACH] = hat(profile.q)
 
     spin = np.einsum("nji,njk->nik", rot, profile.rot_s)
     tr = np.trace(spin, axis1=1, axis2=2)
     own = -0.5 * (tr[:, None, None] * np.eye(3) - spin)
     rel = np.einsum("kji,kjl->kil", rot[ii], rot[jj])  # R_i^T R_j
     tr_rel = np.trace(rel, axis1=1, axis2=2)
-    pair_blocks = coef[:, None, None] * 0.5 * (
+    du_eta[pairs] = coef[:, None, None] * 0.5 * (
         tr_rel[:, None, None] * np.eye(3) - rel.transpose(0, 2, 1)
     )
-    du_eta = _block_diag(own) + _scatter_pairs(ii, jj, pair_blocks, n)
-    du_eta[-3:] = 0.0
-
-    def along_nodes(mat):
-        """The rod's stencil applied along the node axis of a (3n, 3n) matrix."""
-        return d_ds(mat.reshape(n, -1), grid).reshape(mat.shape)
-
-    return StrainPerturbation(
-        dq_p=dq_p,
-        dq_eta=dq_eta,
-        dqs_p=along_nodes(dq_p),
-        dqs_eta=along_nodes(dq_eta),
-        du_eta=du_eta,
-        dus_eta=along_nodes(du_eta),
-    )
+    du_eta[:, REACH] += own
+    bands[:, -1] = 0.0
+    dqs_p, dqs_eta, dus_eta = _along_nodes(bands, by_offset)
+    return StrainPerturbation(dq_p, dq_eta, dqs_p, dqs_eta, du_eta, dus_eta)
 
 
 # ---------------------------------------------------------------------------
@@ -158,9 +153,11 @@ class LinearizedOperator(NamedTuple):
     Over ``x = [p; eta]`` and ``z = [v; omega]`` the x-x and z-z blocks are
     3x3-block diagonal, kept as their (2n, 3, 3) per-node blocks ``xx`` and
     ``zz`` (p or v rows of node j at j, eta or omega rows at n + j); the x-z
-    block is diagonal, kept as its (6n,) diagonal ``xz``; and only the z-x
-    block ``zx`` (``a31, a32, a41, a42``) is a full (6n, 6n) array.  Its node
-    reach sets the run length of the refresh's block-tridiagonal
+    block is diagonal, kept as its (6n,) diagonal ``xz``; and the z-x block
+    (``a31, a32, a41, a42``) is kept as a node band ``zx`` of shape
+    ``(2, 2, n, 2R + 1, 3, 3)``: z field (v, omega), x field (p, eta), row
+    node i, offset ``j - i + R``, with zeros outside the grid.  Its live
+    offsets set the run length of the refresh's block-tridiagonal
     factorization.  ``dense`` assembles the (12n, 12n) matrix on demand.
     """
 
@@ -178,18 +175,19 @@ class LinearizedOperator(NamedTuple):
         """The (12n, 12n) operator, assembled from the blocks (a read-only copy)."""
         k = 6 * self.n_nodes
         out = np.zeros((2 * k, 2 * k))
-        out[:k, :k] = _block_diag(self.xx)
-        out[k:, k:] = _block_diag(self.zz)
+        out[:k, :k] = _band_dense(self.xx[:, None])
+        out[k:, k:] = _band_dense(self.zz[:, None])
         idx = np.arange(k)
         out[idx, k + idx] = self.xz
-        out[k:, :k] = self.zx
+        out[k:, :k] = np.block([[_band_dense(band) for band in row] for row in self.zx])
         out.flags.writeable = False
         return out
 
     @classmethod
     def zeros(cls, n_nodes):
         k, blocks = 6 * n_nodes, (2 * n_nodes, 3, 3)
-        return cls(np.zeros(blocks), np.zeros(blocks), np.zeros(k), np.zeros((k, k)))
+        zx = np.zeros((2, 2, n_nodes, 2 * REACH + 1, 3, 3))
+        return cls(np.zeros(blocks), np.zeros(blocks), np.zeros(k), zx)
 
 
 def linearize_dynamics(state, wrench_total, params, grid):
@@ -206,37 +204,30 @@ def linearize_dynamics(state, wrench_total, params, grid):
     pert = strain_perturbation(state, profile, grid)
     kl, ka = params.stiffness_linear, params.stiffness_angular
     jrho, jrho_inv = params.rotational_mass, params.rotational_mass_inv
-    mass_l = params.linear_mass
 
     kl_qs = profile.q_s @ kl.T
     kl_dq = (profile.q - REFERENCE_STRETCH) @ kl.T
     ka_du = profile.u @ ka.T  # reference twist is zero
 
-    r_kl = rot @ kl
-    rs_kl = profile.rot_s @ kl
-    ii, jj, coef = _stencil_pairs(n, grid.ds)
-    spread_rb = _scatter_pairs(ii, jj, -coef[:, None, None] * (rot[jj] @ hat(kl_dq[ii])), n)
+    # per-node left factors multiply every offset of a band: (n, 1, 3, 3) @ band
+    r_kl = (rot @ kl)[:, None]
+    rs_kl = (profile.rot_s @ kl)[:, None]
+    ii, jj, coef, _ = _stencil_pairs(n, grid.ds)
 
-    zx = np.empty((2 * m, 2 * m))
-    zx[:m, :m] = (_bd_mul(r_kl, pert.dqs_p) + _bd_mul(rs_kl, pert.dq_p)) / mass_l
-    zx[:m, m:] = (
-        _bd_mul(r_kl, pert.dqs_eta)
-        + _bd_mul(rs_kl, pert.dq_eta)
-        - _block_diag(rot @ hat(kl_qs))
-        + spread_rb
-    ) / mass_l
+    zx = np.empty((2, 2, n, 2 * REACH + 1, 3, 3))
+    zx[0, 0] = r_kl @ pert.dqs_p + rs_kl @ pert.dq_p
+    zx[0, 1] = r_kl @ pert.dqs_eta + rs_kl @ pert.dq_eta
+    zx[0, 1, :, REACH] -= rot @ hat(kl_qs)
+    zx[0, 1, ii, jj - ii + REACH] -= coef[:, None, None] * (rot[jj] @ hat(kl_dq[ii]))
+    zx[0] /= params.linear_mass
 
-    coef_q = hat(profile.q) @ kl - hat(kl_dq)
-    coef_u = hat(profile.u) @ ka - hat(ka_du)
+    coef_q = (hat(profile.q) @ kl - hat(kl_dq))[:, None]
+    coef_u = (hat(profile.u) @ ka - hat(ka_du))[:, None]
     body_l = np.einsum("nji,nj->ni", rot, wrench_total.l)
-    zx[m:, :m] = _const_mul(jrho_inv, _bd_mul(coef_q, pert.dq_p))
-    zx[m:, m:] = _const_mul(
-        jrho_inv,
-        _const_mul(ka, pert.dus_eta)
-        + _bd_mul(coef_u, pert.du_eta)
-        + _bd_mul(coef_q, pert.dq_eta)
-        + _block_diag(hat(body_l)),
-    )
+    zx[1, 0] = coef_q @ pert.dq_p
+    zx[1, 1] = ka @ pert.dus_eta + coef_u @ pert.du_eta + coef_q @ pert.dq_eta
+    zx[1, 1, :, REACH] += hat(body_l)
+    zx[1] = jrho_inv @ zx[1]
 
     xx = np.zeros((2 * n, 3, 3))
     zz = np.zeros_like(xx)
@@ -247,7 +238,7 @@ def linearize_dynamics(state, wrench_total, params, grid):
     xz = np.ones(2 * m)
     # clamped base: the plant returns zero rates at node 0
     xx[n] = zz[n] = 0.0
-    xz[:3] = xz[m : m + 3] = zx[:3] = zx[m : m + 3] = 0.0
+    xz[:3] = xz[m : m + 3] = zx[:, :, 0] = 0.0
     return LinearizedOperator(xx, zz, xz, zx)
 
 
@@ -317,46 +308,42 @@ class EstimatorState:
         return EstimatorState(estimate, covariance, self.step_count + 1, gain)
 
 
-def _node_reach(a_zx, n):
-    """Largest node distance between a z row and an x column that ``a_zx`` couples.
-
-    Counts the node diagonals outward from the main one until they hold
-    every nonzero, so a banded block is read over its band only.
-    """
-    left = np.count_nonzero(a_zx != 0.0)
-    nodes = a_zx.reshape(2, n, 3, 2, n, 3)
-    reach = 0
-    while True:
-        left -= np.count_nonzero(np.diagonal(nodes, reach, 1, 4))
-        if reach:
-            left -= np.count_nonzero(np.diagonal(nodes, -reach, 1, 4))
-        if not left:
-            return reach
-        reach += 1
+def _node_reach(zx):
+    """Largest node distance between a z row and an x column that the band ``zx`` couples."""
+    live = np.flatnonzero(np.any(zx, axis=(0, 1, 2, 4, 5))) - zx.shape[3] // 2
+    return int(np.max(np.abs(live), initial=0))
 
 
 @lru_cache(maxsize=16)
-def _runs(n_nodes, group):
+def _runs(n_nodes, group, reach):
     """Node-major slots of a 6n field pair, in runs of ``group`` nodes.
 
     Slot ``6 j + 3 f + c`` of the padded node-major order holds node ``j``,
     field ``f`` and axis ``c``; the last run is padded past node n - 1.
     Returns the field-major index of every slot of each run, shape
     ``(runs, 6 group)``; the same for the runs ``d - 1`` off, shape
-    ``(3, runs, 6 group)``, with pad slots and absent runs at index 0; the
-    mask of real (row, column) slot pairs of that band; and the mask of
-    real slots.
+    ``(3, runs, 6 group)``, with pad slots and absent runs at index 0; each
+    (row, column) slot pair's flat index into a z-x band of half-width
+    ``reach`` (0 off the band) and the mask of the pairs on it, shape
+    ``(3, runs, 6 group, 6 group)``; and the mask of real slots.
     """
     runs = -(-n_nodes // group)
-    slot = np.arange(6 * group * (runs + 2))
+    slot = np.arange(6 * group * (runs + 2)).reshape(runs + 2, -1)
     node, field, axis = slot // 6 - group, slot // 3 % 2, slot % 3
-    real = ((node >= 0) & (node < n_nodes)).reshape(runs + 2, -1)
-    index = np.where(real.ravel(), 3 * n_nodes * field + 3 * node + axis, 0)
-    index = index.reshape(runs + 2, -1)
-    near = np.stack([index[d : d + runs] for d in range(3)])
-    near_real = np.stack([real[d : d + runs] for d in range(3)])
-    live = real[1:-1, :, None] & near_real[:, :, None, :]
-    return index[1:-1], near, live, real[1:-1]
+    real = (node >= 0) & (node < n_nodes)
+    index = np.where(real, 3 * n_nodes * field + 3 * node + axis, 0)
+
+    def near(a):  # the runs d - 1 off, as columns
+        return np.stack([a[d : d + runs] for d in range(3)])[:, :, None, :]
+
+    def own(a):  # each run, as rows
+        return a[1:-1, :, None]
+
+    offset = near(node) - own(node) + reach
+    inside = own(real) & near(real) & (offset >= 0) & (offset <= 2 * reach)
+    flat = (own(field) * 2 + near(field)) * n_nodes + own(node)
+    flat = ((flat * (2 * reach + 1) + offset) * 3 + own(axis)) * 3 + near(axis)
+    return index[1:-1], near(index)[:, :, 0], np.where(inside, flat, 0), inside, real[1:-1]
 
 
 def _singular(first, last):
@@ -373,24 +360,24 @@ def _cayley_transition(op, dt):
     ``2 u_z = S^-1 r`` for ``r = 2 y_z + dt w y_x`` and ``w = A_zx D1^-1``,
     ``2 u_x = D1^-1 (2 y_x - C 2 u_z)``, and ``Phi y = 2 u - y``.
 
-    E reaches ``g`` nodes (read from ``op.zx``), so with the z unknowns
-    node-major (per node ``v_j`` then ``omega_j``) in runs of ``g`` nodes,
-    ``S`` and ``w`` are block tridiagonal with 6g x 6g blocks.  ``S`` is
-    factored by one forward sweep that keeps each pivot block's inverse
-    (pivoting only within a block).  Each apply is one batched product of
-    every run's three ``w`` blocks with a window of ``y_x``, a forward and a
-    backward sweep over the runs, and per-node 3x3 products for the x rows.
-    A singular pivot block raises ``CovarianceBlowup`` naming its nodes.  The
-    returned ``apply(y, out)`` writes into the caller's ``out``.
+    E reaches ``g`` nodes (the live offsets of the band ``op.zx``), so with
+    the z unknowns node-major (per node ``v_j`` then ``omega_j``) in runs of
+    ``g`` nodes, ``S`` and ``w`` (gathered from the band) are block
+    tridiagonal with 6g x 6g blocks.  ``S`` is factored by one forward sweep
+    that keeps each pivot block's inverse (pivoting only within a block).
+    Each apply is one batched product of every run's three ``w`` blocks with
+    a window of ``y_x``, a forward and a backward sweep over the runs, and
+    per-node 3x3 products for the x rows.  A singular pivot block raises
+    ``CovarianceBlowup`` naming its nodes.  The returned ``apply(y, out)``
+    writes into the caller's ``out``.
     """
     if not all(np.all(np.isfinite(block)) for block in op):
         raise CovarianceBlowup("non-finite transition I - dt A/2: NaN/Inf in the operator")
     n = op.n_nodes
     k = 6 * n
     h = 0.5 * dt
-    reach = _node_reach(op.zx, n)
-    group = max(reach, 1)
-    z_slots, x_slots, live, real = _runs(n, group)
+    group = max(_node_reach(op.zx), 1)
+    z_slots, x_slots, band_index, inside, real = _runs(n, group, op.zx.shape[3] // 2)
     runs, width = z_slots.shape
     eye3 = np.eye(3)
     d1 = eye3 - h * op.xx
@@ -400,7 +387,7 @@ def _cayley_transition(op, dt):
         node = np.flatnonzero(np.linalg.det(d1) == 0.0)[0] % n
         raise _singular(node, node) from exc
     # the band of w = A_zx D1^-1: the run d - 1 off the diagonal is w[d]
-    a_band = op.zx[z_slots[:, :, None], x_slots[:, :, None, :]] * live
+    a_band = np.take(op.zx, band_index) * inside
     w = np.einsum(
         "duiqc,duqce->duiqe",
         a_band.reshape(3, runs, width, 2 * group, 3),
@@ -472,6 +459,10 @@ def _cayley_transition(op, dt):
     return apply
 
 
+# one work array per shape, held across refreshes
+_held_buffer = lru_cache(maxsize=4)(np.empty)
+
+
 def riccati_step(covariance, op, noise, dt, cap=1e6, measurement_dt=None):
     """Advance the covariance by ``dt`` holding the linearization fixed.
 
@@ -486,6 +477,8 @@ def riccati_step(covariance, op, noise, dt, cap=1e6, measurement_dt=None):
     ``P``.  Process noise adds ``dt * process_var`` to the predicted
     diagonal.  The contraction and the symmetrization run in place in the
     two products' buffers; neither ``covariance`` nor ``op`` is written.
+    The first product's buffer is held across refreshes (one per shape, never
+    returned), so the refresh is not re-entrant: two of one size must not overlap.
 
     Measurements are per-sample draws with covariance ``R = meas_var I``
     arriving every ``measurement_dt`` (default: one sample per update), so
@@ -505,7 +498,7 @@ def riccati_step(covariance, op, noise, dt, cap=1e6, measurement_dt=None):
     """
     m = 3 * op.n_nodes
     phi = _cayley_transition(op, dt)
-    first, p_new = np.empty(covariance.shape), np.empty(covariance.shape)
+    first, p_new = _held_buffer(covariance.shape), np.empty(covariance.shape)
     phi(covariance, first)
     phi(first.T, p_new)
     if noise.process_var:

@@ -87,6 +87,17 @@ def assert_rotations(rot, tol=1e-9):
     assert np.max(orth) <= tol and np.max(det) <= tol, (np.max(orth), np.max(det))
 
 
+def band_to_dense(band):
+    """The (3n, 3n) matrix of a node band ``(n, 2R + 1, 3, 3)``: node block (i, j) is ``band[i, j - i + R]``."""
+    n, width = band.shape[:2]
+    reach = width // 2
+    out = np.zeros((3 * n, 3 * n))
+    for i in range(n):
+        for j in range(max(0, i - reach), min(n, i + reach + 1)):
+            out[3 * i : 3 * i + 3, 3 * j : 3 * j + 3] = band[i, j - i + reach]
+    return out
+
+
 def check_trajectory_consistency(traj, s, times, h=1e-5):
     """Max kinematic-consistency residuals of a trajectory by central differences.
 

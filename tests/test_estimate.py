@@ -1,3 +1,6 @@
+import tracemalloc
+from itertools import combinations
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -29,13 +32,13 @@ from softrod.discretize import _first_derivative_matrix
 from softrod.estimate import (
     CovarianceBlowup,
     LinearizedOperator,
-    _block_diag,
+    _held_buffer,
     strain_perturbation,
 )
 from softrod.geometry import exp_so3, hat, log_so3
 from softrod.rod import strain_profile
 
-from conftest import smooth_random_state
+from conftest import band_to_dense, smooth_random_state
 
 
 def apply_perturbation(state, dxi):
@@ -124,9 +127,9 @@ class TestStrainPerturbation:
             "u_s": (None, pert.dus_eta),
         }.items():
             actual = (getattr(new, name) - getattr(base, name)).ravel()
-            predicted = op_eta @ deta
+            predicted = band_to_dense(op_eta) @ deta
             if op_p is not None:
-                predicted = predicted + op_p @ dp
+                predicted = predicted + band_to_dense(op_p) @ dp
             scale = max(np.linalg.norm(actual), 1e-30)
             assert np.linalg.norm(predicted - actual) / scale < 1e-5, name
 
@@ -145,19 +148,19 @@ class TestStrainPerturbation:
         grid, state, _ = perturbed_swing_operator(n_nodes, ref_params, rng)
         pert = strain_perturbation(state, strain_profile(state, grid), grid)
         dv = np.kron(_first_derivative_matrix(n_nodes, grid.ds), np.eye(3))
-        dq_p = _block_diag(state.rot.transpose(0, 2, 1)) @ dv
+        dq_p = band_to_dense(state.rot.transpose(0, 2, 1)[:, None]) @ dv
         dq_p[-3:] = 0.0
-        assert np.array_equal(pert.dq_p, dq_p)  # one nonzero term per entry
+        assert np.array_equal(band_to_dense(pert.dq_p), dq_p)  # one nonzero term per entry
         for name, expected in (
-            ("dqs_p", dv @ pert.dq_p),
-            ("dqs_eta", dv @ pert.dq_eta),
-            ("dus_eta", dv @ pert.du_eta),
+            ("dqs_p", dv @ band_to_dense(pert.dq_p)),
+            ("dqs_eta", dv @ band_to_dense(pert.dq_eta)),
+            ("dus_eta", dv @ band_to_dense(pert.du_eta)),
         ):
             # the (3n)^2 product may add a row's stencil terms in another
             # order (its BLAS kernel's k unrolling), so they agree to rounding
             scale = np.max(np.abs(expected))
             np.testing.assert_allclose(
-                getattr(pert, name), expected, rtol=0.0, atol=1e-15 * scale, err_msg=name
+                band_to_dense(getattr(pert, name)), expected, rtol=0.0, atol=1e-15 * scale, err_msg=name
             )
 
 
@@ -214,7 +217,7 @@ class TestLinearizedOperator:
         expected_a42 = rowzero_base(
             bd_const(jrho_inv @ ka) @ dv @ rowzero_tip(dv)
             + bd_const(jrho_inv @ q_ref_hat @ kl) @ rowzero_tip(bd_const(q_ref_hat))
-            + bd_const(jrho_inv) @ _block_diag(hat(wrench.l))
+            + bd_const(jrho_inv) @ band_to_dense(hat(wrench.l)[:, None])
         )
         assert np.allclose(dense[3 * m :, m : 2 * m], expected_a42, atol=1e-6)
 
@@ -438,6 +441,12 @@ def perturbed_swing_operator(n_nodes, params, rng):
     return grid, state, linearize_dynamics(state, wrench, params, grid)
 
 
+def widened(op, reach):
+    """``op`` with its z-x band zero-padded to half-width ``reach``."""
+    pad = reach - op.zx.shape[3] // 2
+    return op._replace(zx=np.pad(op.zx, [(0, 0)] * 3 + [(pad, pad)] + [(0, 0)] * 2))
+
+
 class TestStructuredTransition:
     DT, MEAS_DT = 2e-3, 2e-4
 
@@ -500,7 +509,8 @@ class TestStructuredTransition:
         op = LinearizedOperator.zeros(n)
         # finite and on the pattern (a v row's p column and back), but the
         # product E D1^-1 C in S = D2 - E D1^-1 C overflows
-        op.zx[4, 4] = op.xz[4] = 1e300  # entries (6n + 4, 4) and (4, 6n + 4)
+        # entries (6n + 4, 4) and (4, 6n + 4): node 1's v_y row and p_y column
+        op.zx[0, 0, 1, op.zx.shape[3] // 2, 1, 1] = op.xz[4] = 1e300
         noise = NoiseModel(n, 0.02)
         with pytest.warns(RuntimeWarning, match="overflow"):
             with pytest.raises(CovarianceBlowup, match="non-finite transition .* infs or NaNs"):
@@ -525,19 +535,25 @@ class TestStructuredTransition:
     @pytest.mark.parametrize(("n_nodes", "row_node", "col_node"), [(21, 10, 3), (9, 0, 7)])
     def test_reach_is_read_from_the_operator(self, n_nodes, row_node, col_node, ref_params, rng):
         grid, _, op = perturbed_swing_operator(n_nodes, ref_params, rng)
-        op.zx[3 * row_node, 3 * col_node + 1] = 0.1 * np.max(np.abs(op.zx))
+        op = widened(op, 7)
+        op.zx[0, 0, row_node, col_node - row_node + 7, 0, 1] = 0.1 * np.max(np.abs(op.zx))
         op.xz[3 * row_node] = 1.0  # p rate from v; 1 already off node 0
         self.assert_matches_dense(grid, op)
 
     def test_dense_coupling_matches_dense_transition(self, ref_params, rng):
-        grid, _, op = perturbed_swing_operator(11, ref_params, rng)
-        op.zx[...] += 1e4 * rng.normal(size=op.zx.shape)
+        # a dense E still makes runs of n - 1 nodes
+        n = 11
+        grid, _, op = perturbed_swing_operator(n, ref_params, rng)
+        op = widened(op, n - 1)
+        col = np.arange(n)[:, None] + np.arange(2 * n - 1) - (n - 1)
+        in_grid = ((col >= 0) & (col < n))[:, :, None, None]
+        op.zx[...] += 1e4 * rng.normal(size=op.zx.shape) * in_grid
         self.assert_matches_dense(grid, op)
 
     def test_singular_pivot_names_its_run(self):
         n = 8
         op = LinearizedOperator.zeros(n)
-        op.zx[3 * 3, 3 * 1] = 1.0  # couples nodes 3 and 1: runs of 2 nodes
+        op.zx[0, 0, 3, op.zx.shape[3] // 2 - 2, 0, 0] = 1.0  # couples nodes 3 and 1: runs of 2 nodes
         op.zz[5, 1, 1] = 2.0 / self.DT  # zero pivot, node 5
         noise = NoiseModel(n, 0.02)
         with pytest.raises(CovarianceBlowup, match="singular transition I - dt A/2 at nodes 4–5"):
@@ -552,6 +568,46 @@ class TestStructuredTransition:
         expected = np.linalg.solve(s.T, p[:, :m].T).T
         actual = regularized_gain(p, noise, self.MEAS_DT)
         np.testing.assert_allclose(actual, expected, rtol=1e-12, atol=0.0)
+
+
+def traced_peak(call):
+    """Peak bytes tracemalloc sees allocated during ``call()``."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestRefreshBuffers:
+    DT, MEAS_DT = 2e-3, 2e-4
+
+    def refresh(self, op, prior):
+        noise = NoiseModel(op.n_nodes, 0.02)
+        return riccati_step(prior, op, noise, self.DT, measurement_dt=self.MEAS_DT)
+
+    def test_allocation_budget(self, ref_params, rng):
+        n = 41
+        grid, state, op = perturbed_swing_operator(n, ref_params, rng)
+        wrench = Wrench(rng.normal(size=(n, 3)), rng.normal(size=(n, 3)))
+        prior = 1e-6 * np.eye(12 * n)
+        self.refresh(op, prior)  # warm: the held buffer and the cached structure
+        refresh_peak = traced_peak(lambda: self.refresh(op, prior))
+        linearize_peak = traced_peak(lambda: linearize_dynamics(state, wrench, ref_params, grid))
+        assert refresh_peak <= 2.5 * prior.nbytes, refresh_peak / prior.nbytes
+        assert linearize_peak < (6 * n) ** 2 * 8, linearize_peak / ((6 * n) ** 2 * 8)
+
+    def test_held_buffer_is_never_returned(self, ref_params, rng):
+        ops = {n: perturbed_swing_operator(n, ref_params, rng)[2] for n in (41, 21)}
+        priors = {n: 1e-6 * np.eye(12 * n) for n in ops}
+        results = [self.refresh(ops[n], priors[n]) for n in (41, 21, 41)]
+        assert results[2].tobytes() == results[0].tobytes()
+        held = [_held_buffer(p.shape) for p in priors.values()]
+        for a, b in combinations(results + held, 2):
+            assert not np.shares_memory(a, b)
+        results[2][...] = np.nan
+        assert self.refresh(ops[41], priors[41]).tobytes() == results[0].tobytes()
 
 
 class TestNoiseModel:

@@ -579,6 +579,11 @@ class TestCli:
         assert (tmp_path / "out" / "metrics.csv").exists()
         assert "completed" in capsys.readouterr().out
 
+    def test_run_overrides_on_both_sides_of_an_option(self, tmp_path):
+        out = tmp_path / "out"
+        assert cli_main(["run", "duration=0.02", "--out", str(out), "seed=5"]) == 0
+        assert "seed=5" in (out / "config.txt").read_text().splitlines()
+
     def test_run_with_config_file(self, tmp_path):
         cfg_path = tmp_path / "run.cfg"
         cfg_path.write_text("duration=0.02\nseed=4\ninitial_covariance=0.0\n")
@@ -634,6 +639,29 @@ class TestCli:
         cfg_path.write_text("dt=0.01\n")
         assert cli_main(["check", "--config", str(cfg_path)]) == 1
         assert "VIOLATED" in capsys.readouterr().out
+
+    def test_check_overrides_on_both_sides_of_an_option(self, tmp_path, capsys):
+        cfg_path = tmp_path / "my.cfg"
+        cfg_path.write_text("seed=2\n")
+        assert cli_main(["check", "seed=1", "--config", str(cfg_path), "dt=0.01"]) == 1
+        assert "VIOLATED" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as info:
+            cli_main(["check", "seed=1", "--config", str(cfg_path), "kr=2", "strain"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: kr=2 strain" in capsys.readouterr().err
+
+    def test_sweep_overrides_on_both_sides_of_an_option(self, tmp_path):
+        rc = cli_main(
+            [
+                "sweep",
+                "seed=1,duration=0.01",
+                "--out",
+                str(tmp_path),
+                "seed=2,duration=0.01,initial_covariance=0.0",
+            ]
+        )
+        assert rc == 0
+        assert (tmp_path / "sweep_001" / "metrics.csv").exists()
 
     def test_sweep_subcommand(self, tmp_path, capsys):
         rc = cli_main(
