@@ -13,7 +13,6 @@ from .control import (
 )
 from .discretize import (
     CflReport,
-    GridTooSmall,
     IntegratorConfig,
     check_cfl,
     d_ds,

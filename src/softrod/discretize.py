@@ -17,14 +17,9 @@ import numpy as np
 from .geometry import exp_so3, project_so3
 from .rod import RodState, StateRates
 
-class GridTooSmall(ValueError):
-    """Grid has too few nodes for the requested stencil."""
-
 
 @lru_cache(maxsize=32)
 def _first_derivative_matrix(n_nodes, ds):
-    if n_nodes < 3:
-        raise GridTooSmall(f"first derivative needs >= 3 nodes, got {n_nodes}")
     d = np.zeros((n_nodes, n_nodes))
     for i in range(1, n_nodes - 1):
         d[i, i - 1] = -1.0

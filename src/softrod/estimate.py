@@ -156,8 +156,8 @@ class LinearizedOperator(NamedTuple):
     block is diagonal, kept as its (6n,) diagonal ``xz``; and the z-x block
     (``a31, a32, a41, a42``) is kept as a node band ``zx`` of shape
     ``(2, 2, n, 2R + 1, 3, 3)``: z field (v, omega), x field (p, eta), row
-    node i, offset ``j - i + R``, with zeros outside the grid.  Its live
-    offsets set the run length of the refresh's block-tridiagonal
+    node i, offset ``j - i + R``, with zeros outside the grid.  Its
+    half-width R sets the run length of the refresh's block-tridiagonal
     factorization.  ``dense`` assembles the (12n, 12n) matrix on demand.
     """
 
@@ -308,28 +308,22 @@ class EstimatorState:
         return EstimatorState(estimate, covariance, self.step_count + 1, gain)
 
 
-def _node_reach(zx):
-    """Largest node distance between a z row and an x column that the band ``zx`` couples."""
-    live = np.flatnonzero(np.any(zx, axis=(0, 1, 2, 4, 5))) - zx.shape[3] // 2
-    return int(np.max(np.abs(live), initial=0))
-
-
 @lru_cache(maxsize=16)
-def _runs(n_nodes, group, reach):
-    """Node-major slots of a 6n field pair, in runs of ``group`` nodes.
+def _runs(n_nodes, reach):
+    """Node-major slots of a 6n field pair, in runs of ``reach`` nodes.
 
     Slot ``6 j + 3 f + c`` of the padded node-major order holds node ``j``,
     field ``f`` and axis ``c``; the last run is padded past node n - 1.
     Returns the field-major index of every slot of each run, shape
-    ``(runs, 6 group)``; the same for the runs ``d - 1`` off, shape
-    ``(3, runs, 6 group)``, with pad slots and absent runs at index 0; each
+    ``(runs, 6 reach)``; the same for the runs ``d - 1`` off, shape
+    ``(3, runs, 6 reach)``, with pad slots and absent runs at index 0; each
     (row, column) slot pair's flat index into a z-x band of half-width
     ``reach`` (0 off the band) and the mask of the pairs on it, shape
-    ``(3, runs, 6 group, 6 group)``; and the mask of real slots.
+    ``(3, runs, 6 reach, 6 reach)``; and the mask of real slots.
     """
-    runs = -(-n_nodes // group)
-    slot = np.arange(6 * group * (runs + 2)).reshape(runs + 2, -1)
-    node, field, axis = slot // 6 - group, slot // 3 % 2, slot % 3
+    runs = -(-n_nodes // reach)
+    slot = np.arange(6 * reach * (runs + 2)).reshape(runs + 2, -1)
+    node, field, axis = slot // 6 - reach, slot // 3 % 2, slot % 3
     real = (node >= 0) & (node < n_nodes)
     index = np.where(real, 3 * n_nodes * field + 3 * node + axis, 0)
 
@@ -360,10 +354,10 @@ def _cayley_transition(op, dt):
     ``2 u_z = S^-1 r`` for ``r = 2 y_z + dt w y_x`` and ``w = A_zx D1^-1``,
     ``2 u_x = D1^-1 (2 y_x - C 2 u_z)``, and ``Phi y = 2 u - y``.
 
-    E reaches ``g`` nodes (the live offsets of the band ``op.zx``), so with
+    E reaches at most R nodes, the half-width of the band ``op.zx``, so with
     the z unknowns node-major (per node ``v_j`` then ``omega_j``) in runs of
-    ``g`` nodes, ``S`` and ``w`` (gathered from the band) are block
-    tridiagonal with 6g x 6g blocks.  ``S`` is factored by one forward sweep
+    R nodes, ``S`` and ``w`` (gathered from the band) are block tridiagonal
+    with 6R x 6R blocks.  ``S`` is factored by one forward sweep
     that keeps each pivot block's inverse (pivoting only within a block).
     Each apply is one batched product of every run's three ``w`` blocks with
     a window of ``y_x``, a forward and a backward sweep over the runs, and
@@ -376,8 +370,8 @@ def _cayley_transition(op, dt):
     n = op.n_nodes
     k = 6 * n
     h = 0.5 * dt
-    group = max(_node_reach(op.zx), 1)
-    z_slots, x_slots, band_index, inside, real = _runs(n, group, op.zx.shape[3] // 2)
+    group = op.zx.shape[3] // 2
+    z_slots, x_slots, band_index, inside, real = _runs(n, group)
     runs, width = z_slots.shape
     eye3 = np.eye(3)
     d1 = eye3 - h * op.xx
@@ -536,11 +530,13 @@ def filter_update(
     """Measurement half of the filter cycle: covariance, gain, innovation rates.
 
     Relinearizes and advances the covariance every ``riccati_stride``-th call
-    (covering ``stride * dt`` of filter time per refresh) and returns the new
-    covariance, the held gain and the per-field innovation rates for the
-    current measurement.  ``wrench`` is a callable ``t -> Wrench`` giving the
-    applied wrench at the current filter time, called on a refresh only; the
-    linearization at the current estimate uses its value.
+    (covering ``stride * dt`` of filter time per refresh), holds the
+    covariance and the gain in between, and returns both with the per-field
+    innovation rates for the current measurement.  ``wrench`` is a callable
+    ``t -> Wrench`` giving the applied wrench at the current filter time,
+    called on a refresh only; the linearization at the current estimate uses
+    its value.  A zero covariance without process noise refreshes to an exact
+    zero covariance and gain.
     """
     n = grid.n_nodes
     m = 3 * n
@@ -548,11 +544,6 @@ def filter_update(
         # between refreshes the covariance and the gain are held
         covariance = est.covariance
         gain = est.gain
-    elif not noise.process_var and not est.covariance.any():
-        # zero prior and no process noise: the covariance stays zero and the
-        # filter degenerates to pure model replay; skip the Riccati work
-        covariance = est.covariance
-        gain = est.gain if est.gain is not None else np.zeros((4 * m, m))
     else:
         op = linearize_dynamics(est.estimate, wrench(est.step_count * cfg.dt), params, grid)
         covariance = riccati_step(
@@ -571,16 +562,6 @@ def filter_update(
     return covariance, gain, StateRates(rates)
 
 
-def with_innovation(rates, correction):
-    """Plant rates plus the constant innovation rates of one filter step.
-
-    The orientation rate correction adds to the body angular-velocity tangent,
-    so the integrator's exponential update realizes
-    ``R <- R exp(dt (omega + K_rot (y - p)))``.
-    """
-    return StateRates(rates.data + correction.data)
-
-
 def ekf_step(
     est,
     y,
@@ -596,7 +577,11 @@ def ekf_step(
 
     Runs ``filter_update`` and then advances the estimate under the plant
     dynamics, driven by the applied wrench ``wrench_total``, plus the
-    innovation rates, by one RK4 step.
+    innovation rates, by one RK4 step.  The orientation rate correction adds
+    to the body angular-velocity tangent, so the integrator's exponential
+    update realizes ``R <- R exp(dt (omega + K_rot (y - p)))``.  A zero
+    prior without process noise keeps the covariance and the gain exactly
+    zero, so the estimate replays the plant model.
     """
     covariance, gain, correction = filter_update(
         est,
@@ -611,7 +596,7 @@ def ekf_step(
     )
 
     def rhs(state, _t):
-        return with_innovation(dynamics_rhs(state, wrench_total, params, grid), correction)
+        return StateRates(dynamics_rhs(state, wrench_total, params, grid).data + correction.data)
 
     new_estimate = step(
         est.estimate, rhs, cfg, step_index=est.step_count, t=est.step_count * cfg.dt

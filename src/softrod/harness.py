@@ -27,13 +27,14 @@ from .control import (
     virtual_inputs,
 )
 from .discretize import IntegratorConfig, check_cfl, step, step_coupled
-from .estimate import CovarianceBlowup, EstimatorState, NoiseModel, filter_update, with_innovation
+from .estimate import CovarianceBlowup, EstimatorState, NoiseModel, filter_update
 from .geometry import NearPiRotation, log_so3
 from .rod import (
     Grid,
     NonFiniteState,
     RodParams,
     RodState,
+    StateRates,
     Wrench,
     dynamics_rhs,
     load_terms,
@@ -378,12 +379,16 @@ class RunResult:
 def run_closed_loop(cfg, out_dir=None):
     """Run the seeded closed loop and (optionally) emit its CSV outputs.
 
-    Per step: draw a noisy position measurement, refresh the filter
-    (covariance, gain, innovation rates), then co-advance plant and estimate
-    through shared integrator stages with the controller wrench re-evaluated
-    at the stage states of the configured feedback source.  On a non-finite
-    state, a covariance blow-up or a near-pi rotation error the partial
-    outputs plus a last-good snapshot are written before the error propagates.
+    The config decides the regime once.  With a zero prior and zero process
+    noise the covariance and the gain stay exactly zero, so the estimate is
+    the plant: each step advances the plant alone under the controller
+    wrench, and no measurement is drawn.  Otherwise each step draws a noisy
+    position measurement, refreshes the filter (covariance, gain, innovation
+    rates), then co-advances plant and estimate through shared integrator
+    stages with the controller wrench re-evaluated at the stage states of
+    the configured feedback source.  On a non-finite state, a covariance
+    blow-up or a near-pi rotation error the partial outputs plus a last-good
+    snapshot are written before the error propagates.
     """
     params = cfg.rod_params()
     grid = cfg.grid()
@@ -394,7 +399,12 @@ def run_closed_loop(cfg, out_dir=None):
     rng = np.random.default_rng(cfg.seed)
 
     plant = make_initial_state(grid, cfg.scenario)
-    estimator = EstimatorState.initialize(plant, covariance_scale=cfg.initial_covariance)
+    replay = not (cfg.initial_covariance or cfg.process_variance)
+    if replay:
+        estimate = plant
+    else:
+        estimator = EstimatorState.initialize(plant, covariance_scale=cfg.initial_covariance)
+        estimate = estimator.estimate
 
     gate = check_tracking_basin(plant, traj, gains, grid)
     if not gate.all_ok:
@@ -459,7 +469,7 @@ def run_closed_loop(cfg, out_dir=None):
                 # not read as a time-step problem
                 with naming("plant diverged under estimate-fed control", tau):
                     plant_rates = dynamics_rhs(plant_stage, wrench, params, grid)
-            return plant_rates, with_innovation(est_rates, correction)
+            return plant_rates, StateRates(est_rates.data + correction.data)
 
         return rhs
 
@@ -472,12 +482,15 @@ def run_closed_loop(cfg, out_dir=None):
     try:
         for i in range(n_steps):
             t = i * cfg.dt
-            y = plant.p + rng.normal(0.0, noise_std, size=(n, 3))
-            fb_state = plant if true_feedback else estimator.estimate
             if i % cfg.log_every == 0:
-                records.append(compute_metrics(t, plant, estimator.estimate, traj, gains, grid))
+                records.append(compute_metrics(t, plant, estimate, traj, gains, grid))
             if i % cfg.snapshot_every == 0:
-                snapshots.append(Snapshot(t, plant.copy(), estimator.estimate.copy()))
+                snapshots.append(Snapshot(t, plant.copy(), estimate.copy()))
+            if replay:
+                plant = estimate = step(plant, solo_rhs, int_cfg, step_index=i, t=t)
+                continue
+            y = plant.p + rng.normal(0.0, noise_std, size=(n, 3))
+            fb_state = plant if true_feedback else estimate
             covariance, gain, correction = filter_update(
                 estimator,
                 y,
@@ -489,28 +502,19 @@ def run_closed_loop(cfg, out_dir=None):
                 riccati_stride=cfg.riccati_stride,
                 covariance_cap=cfg.covariance_cap,
             )
-            if not correction.data.any() and all(map(np.array_equal, plant, estimator.estimate)):
-                # identical states, identical rates, zero innovation: the
-                # coupled step would reproduce the plant bit for bit
-                plant = step(plant, solo_rhs, int_cfg, step_index=i, t=t)
-                est_state = plant.copy()
-            else:
-                plant, est_state = step_coupled(
-                    (plant, estimator.estimate),
-                    coupled_rhs(correction),
-                    int_cfg,
-                    step_index=i,
-                    t=t,
-                )
+            plant, est_state = step_coupled(
+                (plant, estimate), coupled_rhs(correction), int_cfg, step_index=i, t=t
+            )
             estimator = estimator.advanced(est_state, covariance, gain)
+            estimate = estimator.estimate
         if n_steps > 0:
             t = n_steps * cfg.dt
-            records.append(compute_metrics(t, plant, estimator.estimate, traj, gains, grid))
-            snapshots.append(Snapshot(t, plant.copy(), estimator.estimate.copy()))
+            records.append(compute_metrics(t, plant, estimate, traj, gains, grid))
+            snapshots.append(Snapshot(t, plant.copy(), estimate.copy()))
     except RUN_ABORTS as exc:
         # the last finite states, for post-mortem, unless this step's snapshot holds them
         if not snapshots or snapshots[-1].t != t:
-            snapshots.append(Snapshot(t, plant.copy(), estimator.estimate.copy()))
+            snapshots.append(Snapshot(t, plant.copy(), estimate.copy()))
         if out_dir is not None:
             result.written = emit_csv(records, snapshots, cfg, out_dir, grid, abort=exc)
         raise

@@ -38,8 +38,8 @@ class Grid:
     ds: float
 
     def __post_init__(self):
-        if self.n_nodes < 2:
-            raise ValueError("grid needs at least 2 nodes")
+        if self.n_nodes < 3:  # the three-point stencils
+            raise ValueError(f"grid needs at least 3 nodes, got {self.n_nodes}")
         if not self.ds > 0.0:
             raise ValueError("ds must be positive")
 

@@ -335,13 +335,44 @@ class TestClosedLoop:
             return covariance, gain, correction
 
         monkeypatch.setattr(harness, "filter_update", filter_update)
-        cfg = quick_config(initial_covariance=0.0, feedback=feedback)
+        cfg = quick_config(feedback=feedback)  # a live prior: a replay run never filters
         with pytest.raises(NonFiniteState, match=r"estimate diverged.* stage time t=0\.0001\b") as info:
             run_closed_loop(cfg)
         # the NaN reaches the estimate's rotation rate first (its clamped
         # base row stays zero), and the wrapper carries the location through
         assert " in rot at node 1 at stage time" in str(info.value)
         assert info.value.where == info.value.__cause__.where == "rot at node 1"
+
+    @pytest.mark.parametrize("feedback", FEEDBACK_MODES)
+    def test_replay_run_steps_the_plant_alone(self, feedback, tmp_path, monkeypatch):
+        # zero prior and zero process noise: no filter cycle and no coupled step
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a replay run filtered")
+
+        monkeypatch.setattr(harness, "filter_update", forbidden)
+        monkeypatch.setattr(harness, "step_coupled", forbidden)
+        cfg = quick_config(initial_covariance=0.0, feedback=feedback, snapshot_every=50)
+        run_closed_loop(cfg, out_dir=tmp_path)
+        estimates = sorted(tmp_path.glob("snapshot_*_estimate.csv"))
+        assert len(estimates) == 5  # steps 0, 50, 100, 150 and the end
+        for path in estimates:
+            state = path.with_name(path.name.replace("_estimate", "_state"))
+            assert path.read_bytes() == state.read_bytes(), path.name
+
+    def test_process_noise_makes_a_zero_prior_run_live(self, monkeypatch):
+        calls = {"filter_update": [], "step_coupled": []}
+        for name, log in calls.items():
+            real = getattr(harness, name)
+
+            def logged(*args, real=real, log=log, **kwargs):
+                log.append(real(*args, **kwargs))
+                return log[-1]
+
+            monkeypatch.setattr(harness, name, logged)
+        cfg = quick_config(initial_covariance=0.0, process_variance=1e-9, duration=0.01)
+        run_closed_loop(cfg)
+        assert len(calls["filter_update"]) == len(calls["step_coupled"]) == 50
+        assert calls["filter_update"][-1][0].any()  # the last covariance
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_plant_divergence_under_estimate_feedback_names_the_plant(self):
@@ -633,6 +664,11 @@ class TestCli:
         assert cli_main(["check"]) == 0
         out = capsys.readouterr().out
         assert "pass" in out and "CFL OK" in out
+
+    def test_check_refuses_a_grid_of_two_nodes(self, capsys):
+        # ds = length gives 2 nodes, too few for the three-point stencils
+        assert cli_main(["check", "ds=0.5"]) == 2
+        assert "grid needs at least 3 nodes, got 2" in capsys.readouterr().err
 
     def test_check_flags_bad_time_step(self, tmp_path, capsys):
         cfg_path = tmp_path / "fast.cfg"
